@@ -15,9 +15,8 @@ Records the parallel engine's acceptance numbers in ``BENCH_parallel.json``:
 * the incremental fast path against its ``REPRO_FULL_RECOST`` slow twin
   (same budget, byte-identical result required) — the ISSUE 6 headline
   speedup;
-* the pruned search modes (``beam_width=8``, branch-and-bound, dominance
-  pruning): visited volume and wall-clock per mode, with a hard check
-  that B&B and dominance preserve the unpruned best cost;
+* the HS pruning knob (``beam_width=8``): visited volume, wall-clock and
+  best cost;
 * the telemetry-overhead pair: the same cold serial search with a live
   :class:`Recorder` vs the ``NULL_RECORDER``, byte-identical result
   required; the delta is recorded as informational, never gated.
@@ -344,31 +343,22 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return 1
 
-    # Pruned search modes.  B&B and dominance are required to keep the
-    # unpruned best cost; the beam is lossy by design, so its cost is
+    # The HS pruning knob.  The beam is lossy by design, so its cost is
     # recorded (and gated against its own baseline) but not checked here.
-    modes = {}
-    for name, kwargs, must_match in (
-        ("beam8", {"beam_width": 8}, False),
-        ("bound", {"bound": True}, True),
-        ("dominance", {"prune_dominated": True}, True),
-    ):
-        seconds, result = _run(
-            args.category, args.seed, SearchBudget(**kwargs)
-        )
-        preserved = result.best.cost == serial.best.cost
-        modes[name] = {
+    seconds, beamed = _run(
+        args.category, args.seed, SearchBudget(beam_width=8)
+    )
+    modes = {
+        "beam8": {
             "seconds": round(seconds, 4),
-            "visited_states": result.visited_states,
-            "best_cost": result.best.cost,
-            "best_cost_identical": preserved,
+            "visited_states": beamed.visited_states,
+            "best_cost": beamed.best.cost,
+            "best_cost_identical": beamed.best.cost == serial.best.cost,
         }
-        print(f"  {name:<7} {seconds:7.2f}s  "
-              f"visited={result.visited_states}  "
-              f"best={result.best.cost:.0f}  identical={preserved}")
-        if must_match and not preserved:
-            print(f"error: {name} changed the best cost", file=sys.stderr)
-            return 1
+    }
+    print(f"  beam8   {seconds:7.2f}s  visited={beamed.visited_states}  "
+          f"best={beamed.best.cost:.0f}  "
+          f"identical={modes['beam8']['best_cost_identical']}")
 
     # Provenance check: the winning lineage must replay to the reported
     # best state, and the payload records its shape for the diff gate.

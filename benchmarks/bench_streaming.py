@@ -36,9 +36,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.engine import ExecutionBudget, Executor  # noqa: E402
-from repro.engine.tracing import TracingExecutor  # noqa: E402
-from repro.obs import Recorder, summarize, use_recorder  # noqa: E402
+from repro.engine import ExecutionBudget, Executor, TraceReport  # noqa: E402
+from repro.obs import Recorder, summarize  # noqa: E402
 from repro.workloads import generate_workload  # noqa: E402
 
 
@@ -159,11 +158,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.max_resident_rows is not None
         else max(1024, materializing_rows // 2)
     )
-    # The budgeted run doubles as the telemetry run: a tracing executor
-    # records per-operator spans and resident-row gauges, and the summary
-    # is embedded in the payload.
+    # The budgeted run doubles as the telemetry run: under a recorder the
+    # executor records per-operator spans and resident-row gauges, and
+    # the summary is embedded in the payload.
     recorder = Recorder()
-    traced = TracingExecutor(context=workload.context)
     with tempfile.TemporaryDirectory(prefix="bench-spill-") as spill_dir:
         budget = ExecutionBudget(
             batch_size=min(batch_sizes),
@@ -171,8 +169,9 @@ def main(argv: list[str] | None = None) -> int:
             spill_dir=spill_dir,
         )
         started = time.perf_counter()
-        with use_recorder(recorder):
-            bounded = traced.run(workload.workflow, data, budget=budget)
+        bounded = executor.run(
+            workload.workflow, data, budget=budget, recorder=recorder
+        )
         seconds = time.perf_counter() - started
     identical = (
         bounded.targets == base.targets
@@ -205,6 +204,7 @@ def main(argv: list[str] | None = None) -> int:
           f"peak {budgeted['peak_resident_rows']} rows, "
           f"spilled {budgeted['spilled_rows']}, "
           f"within budget: {budgeted['within_budget']}")
+    print(TraceReport.from_recorder(recorder).render(top=5))
     if divergence:
         print("ERROR: streaming diverged from materializing", file=sys.stderr)
         return 1

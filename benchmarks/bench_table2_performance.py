@@ -16,7 +16,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.search import exhaustive_search, greedy_search, heuristic_search
+from repro.core.search import (
+    SearchBudget,
+    exhaustive_search,
+    greedy_search,
+    heuristic_search,
+)
 from repro.experiments import format_table2, table2_rows
 
 from _config import bench_categories, bench_config
@@ -77,8 +82,10 @@ def _run(algorithm, workload):
     if algorithm == "ES":
         return exhaustive_search(
             workload.workflow,
-            max_states=config.es_max_states.get(workload.category),
-            max_seconds=config.es_max_seconds,
+            budget=SearchBudget(
+                max_states=config.es_max_states.get(workload.category),
+                max_seconds=config.es_max_seconds,
+            ),
         )
     if algorithm == "HS":
         return heuristic_search(workload.workflow)

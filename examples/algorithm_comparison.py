@@ -11,7 +11,12 @@ Run:  python examples/algorithm_comparison.py [seed]
 
 import sys
 
-from repro import exhaustive_search, greedy_search, heuristic_search
+from repro import (
+    SearchBudget,
+    exhaustive_search,
+    greedy_search,
+    heuristic_search,
+)
 from repro.workloads import generate_workload
 
 ES_BUDGETS = {"small": 4000, "medium": 2000, "large": 1000}
@@ -25,8 +30,9 @@ def main(seed: int = 1):
         runs = [
             exhaustive_search(
                 workload.workflow,
-                max_states=ES_BUDGETS[category],
-                max_seconds=30.0,
+                budget=SearchBudget(
+                    max_states=ES_BUDGETS[category], max_seconds=30.0
+                ),
             ),
             heuristic_search(workload.workflow),
             greedy_search(workload.workflow),

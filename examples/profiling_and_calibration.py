@@ -3,8 +3,9 @@
 
 The closed loop a production deployment wants:
 
-1. run the current design with the :class:`TracingExecutor` and see which
-   activity actually dominates the night window;
+1. run the current design under a :class:`~repro.obs.Recorder` and read
+   the :class:`TraceReport` to see which activity actually dominates the
+   night window;
 2. measure real per-activity selectivities on the same run
    (:func:`measure_selectivities`) — the declared guesses are often off;
 3. rebuild the workflow with measured selectivities
@@ -16,19 +17,25 @@ Run:  python examples/profiling_and_calibration.py
 
 from repro import optimize
 from repro.core.cost import ProcessedRowsCostModel, estimate
-from repro.engine import calibrate_workflow, measure_selectivities
-from repro.engine.tracing import TracingExecutor
+from repro.engine import (
+    Executor,
+    TraceReport,
+    calibrate_workflow,
+    measure_selectivities,
+)
+from repro.obs import Recorder
 from repro.workloads import generate_workload
 
 
 def main():
     workload = generate_workload("small", seed=6)
-    executor = TracingExecutor(context=workload.context)
+    executor = Executor(context=workload.context)
     data = workload.make_data(data_seed=1, n=400)
 
     print("=== 1. profile the current design ===")
-    executor.run(workload.workflow, data)
-    print(executor.last_trace.render(top=8))
+    recorder = Recorder()
+    executor.run(workload.workflow, data, recorder=recorder)
+    print(TraceReport.from_recorder(recorder).render(top=8))
 
     print("\n=== 2. declared vs measured selectivities ===")
     measured = measure_selectivities(workload.workflow, data, executor)

@@ -61,7 +61,7 @@ from repro.core.search import (
 )
 from repro.exceptions import ReproError
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Activity",
@@ -92,11 +92,6 @@ __all__ = [
     "__version__",
 ]
 
-#: Kwargs superseded by ``budget=SearchBudget(...)`` (or, for ``config``,
-#: by calling the algorithm function directly with its tuning knobs).
-_DEPRECATED_KWARGS = ("max_states", "max_seconds", "config")
-
-
 def optimize(
     workflow: ETLWorkflow,
     algorithm: str = "heuristic",
@@ -116,37 +111,12 @@ def optimize(
             ``max_seconds`` stopping criteria plus the ``jobs`` (worker
             processes) and ``cache`` (transposition cache) execution
             knobs, honoured by every algorithm.
-        **kwargs: algorithm-specific options (``merge_constraints`` for
-            HS/greedy, ``seed``/``steps`` for annealing, ``strategy`` for
-            ES).  The legacy per-algorithm budget spellings
-            (``max_states=``, ``max_seconds=``, ``config=HSConfig(...)``)
-            still work but emit a :class:`DeprecationWarning` — pass
-            ``budget=SearchBudget(...)`` instead.
+        **kwargs: algorithm-specific options (``merge_constraints`` and
+            ``config=HSConfig(...)`` for HS/greedy, ``seed``/``steps`` for
+            annealing, ``strategy`` for ES).
 
     Returns:
         The :class:`OptimizationResult` with the best state found and the
         search statistics the paper's tables report.
     """
-    import warnings
-
-    legacy = [key for key in _DEPRECATED_KWARGS if key in kwargs]
-    if legacy:
-        warnings.warn(
-            f"optimize(..., {', '.join(f'{key}=' for key in legacy)}...) is "
-            "deprecated; pass budget=SearchBudget(max_states=..., "
-            "max_seconds=...) instead (HSConfig tuning knobs stay available "
-            "on heuristic_search/greedy_search directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    if budget is None:
-        budget = SearchBudget(
-            max_states=kwargs.pop("max_states", None),
-            max_seconds=kwargs.pop("max_seconds", None),
-        )
-    elif any(key in kwargs for key in ("max_states", "max_seconds")):
-        raise ReproError(
-            "pass stopping criteria either through budget=SearchBudget(...) "
-            "or through the legacy max_states=/max_seconds= keywords, not both"
-        )
     return _run_search(algorithm, workflow, model=model, budget=budget, **kwargs)

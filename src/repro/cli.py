@@ -124,16 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--prune-dominated",
         action="store_true",
         help=(
-            "drop states dominated by a cheaper already-seen state of "
-            "the same dominance class (HS phase worklists, ES frontier)"
-        ),
-    )
-    cmd_optimize.add_argument(
-        "--bound",
-        action="store_true",
-        help=(
-            "branch-and-bound: skip expanding states whose admissible "
-            "lower bound cannot beat the incumbent best"
+            "ES only: drop frontier states dominated by a cheaper "
+            "already-seen state of the same dominance class"
         ),
     )
     cmd_optimize.add_argument(
@@ -524,7 +516,6 @@ def _cmd_optimize(args) -> int:
         cache=args.cache_dir,
         beam_width=args.beam_width,
         prune_dominated=args.prune_dominated,
-        bound=args.bound,
     )
     result = optimize(workflow, algorithm=args.algorithm, budget=budget)
     print(result.summary())
@@ -628,8 +619,7 @@ def _budget_from_args(args, force: bool = False):
 
 
 def _cmd_run(args) -> int:
-    from repro.engine import Executor
-    from repro.engine.tracing import TracingExecutor
+    from repro.engine import Executor, TraceReport
     from repro.io.atomic import atomic_write_json
 
     workflow = load(args.workflow)
@@ -639,11 +629,14 @@ def _cmd_run(args) -> int:
     budget = _budget_from_args(
         args, force=args.stream or (shards is not None and shards > 1)
     )
-    # Telemetry wants the per-operator spans only TracingExecutor records.
-    tracing = args.trace or get_recorder().active
-    executor = TracingExecutor() if tracing else Executor()
-    result = executor.run(
-        workflow, source_data, budget=budget, shards=shards
+    # The run records its operator spans into the active recorder (the
+    # --telemetry one, if any); --trace reads them back as a profile.
+    recorder = get_recorder()
+    if args.trace and not recorder.active:
+        recorder = Recorder()
+    result = Executor().run(
+        workflow, source_data, budget=budget, shards=shards,
+        recorder=recorder,
     )
     for name in sorted(result.targets):
         print(f"target {name}: {len(result.targets[name])} row(s)")
@@ -661,7 +654,7 @@ def _cmd_run(args) -> int:
             f"{streaming.spilled_rows} row(s) spilled"
         )
     if args.trace:
-        print(executor.last_trace.render())
+        print(TraceReport.from_recorder(recorder).render())
     if args.output:
         atomic_write_json(args.output, result.targets, sort_keys=False)
         print(f"target flows written to {args.output}")

@@ -19,7 +19,7 @@ import random
 import time
 
 from repro.core.cost.model import CostModel, ProcessedRowsCostModel
-from repro.core.search.budget import SearchBudget, coalesce_budget
+from repro.core.search.budget import SearchBudget
 from repro.core.search.result import OptimizationResult
 from repro.core.search.state import SearchState
 from repro.core.search.transposition import TranspositionCache
@@ -37,7 +37,6 @@ def annealing_search(
     steps: int = 2000,
     initial_temperature: float | None = None,
     cooling: float = 0.995,
-    max_seconds: float | None = None,
     budget: SearchBudget | None = None,
     pool=None,
 ) -> OptimizationResult:
@@ -52,7 +51,6 @@ def annealing_search(
             5 % of the initial state's cost (accepting small regressions
             early on).
         cooling: geometric cooling factor per step.
-        max_seconds: legacy spelling of ``budget.max_seconds``.
         budget: uniform :class:`SearchBudget`; ``jobs != 1`` runs that
             many independent chains (seeds ``seed .. seed+jobs-1``) on a
             worker pool and returns the best endpoint — see
@@ -61,7 +59,7 @@ def annealing_search(
             :func:`~repro.core.search.parallel.optimize_many`).
     """
     model = model if model is not None else ProcessedRowsCostModel()
-    budget = coalesce_budget(budget, max_seconds=max_seconds)
+    budget = budget if budget is not None else SearchBudget()
 
     if budget.resolved_jobs() > 1:
         from repro.core.search.parallel import annealing_multi_chain

@@ -1,13 +1,10 @@
 """The unified search budget — one knob object for all four algorithms.
 
-Historically every algorithm grew its own budget surface: ES took
-``max_states``/``max_seconds`` keyword arguments, HS buried a wall-clock
-budget inside :class:`~repro.core.search.heuristic.HSConfig`, and the
-annealer had only ``max_seconds``.  :class:`SearchBudget` replaces that
-divergence with a single value object accepted (as ``budget=``) by
-:func:`~repro.optimize`, :func:`~repro.core.search.exhaustive
-.exhaustive_search`, :func:`~repro.core.search.heuristic
-.heuristic_search`, :func:`~repro.core.search.greedy.greedy_search` and
+:class:`SearchBudget` is the only budget surface: a single value object
+accepted (as ``budget=``) by :func:`~repro.optimize`,
+:func:`~repro.core.search.exhaustive.exhaustive_search`,
+:func:`~repro.core.search.heuristic.heuristic_search`,
+:func:`~repro.core.search.greedy.greedy_search` and
 :func:`~repro.core.search.annealing.annealing_search` alike.
 
 Besides the two stopping criteria it carries the two *execution* knobs the
@@ -18,16 +15,15 @@ parallel engine introduces:
 * ``cache`` — the transposition-cache specification, see
   :meth:`~repro.core.search.transposition.TranspositionCache.resolve`.
 
-It also carries the three *pruning* knobs (all off by default — the
-default budget reproduces the unpruned algorithms byte-for-byte):
+It also carries the two *pruning* knobs that were measured to pay (both
+off by default — the default budget reproduces the unpruned algorithms
+byte-for-byte):
 
-* ``beam_width`` — cap each HS local-group frontier at the ``k``
-  cheapest orderings;
-* ``prune_dominated`` — drop states dominated by a cheaper
-  already-seen state of the same dominance class (see
-  :func:`~repro.core.search.bound.dominance_class`);
-* ``bound`` — branch-and-bound: cut off states whose admissible lower
-  bound (see :mod:`repro.core.search.bound`) cannot beat the incumbent.
+* ``beam_width`` (HS only) — cap each HS local-group frontier at the
+  ``k`` cheapest orderings;
+* ``prune_dominated`` (ES only) — drop frontier states dominated by a
+  cheaper already-seen state of the same dominance class (see
+  :func:`~repro.core.search.exhaustive.dominance_class`).
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from typing import Any
 
 from repro.exceptions import ReproError
 
-__all__ = ["SearchBudget", "coalesce_budget"]
+__all__ = ["SearchBudget"]
 
 
 @dataclass(frozen=True)
@@ -62,13 +58,11 @@ class SearchBudget:
         beam_width: HS/HS-Greedy only — keep at most this many frontier
             orderings per local-group exploration (Phase I/IV).  ``None``
             (the default) reproduces the unbeamed exploration exactly.
-        prune_dominated: drop generated states whose dominance class
-            already holds a state at least as cheap (HS Phase II/III
-            worklists and the ES frontier).  A heuristic — it may change
-            budget-truncated outcomes, never the cost of a state it keeps.
-        bound: branch-and-bound — skip expanding states whose admissible
-            lower bound cannot beat the incumbent best (HS group
-            exploration and the ES frontier).
+        prune_dominated: ES only — drop generated states whose dominance
+            class already holds a state at least as cheap from the
+            frontier (serial and wave-parallel ES alike).  A heuristic —
+            it may change budget-truncated outcomes, never the cost of a
+            state it keeps; on completed spaces the optimum is unchanged.
     """
 
     max_states: int | None = None
@@ -77,7 +71,6 @@ class SearchBudget:
     cache: Any = None
     beam_width: int | None = None
     prune_dominated: bool = False
-    bound: bool = False
 
     def __post_init__(self) -> None:
         if self.max_states is not None and self.max_states < 1:
@@ -93,23 +86,3 @@ class SearchBudget:
             return os.cpu_count() or 1
         return int(self.jobs)
 
-
-def coalesce_budget(
-    budget: SearchBudget | None,
-    max_states: int | None = None,
-    max_seconds: float | None = None,
-) -> SearchBudget:
-    """Merge a ``budget=`` argument with an algorithm's legacy kwargs.
-
-    The legacy per-algorithm keywords (``max_states=`` / ``max_seconds=``)
-    keep working when no :class:`SearchBudget` is supplied; passing both
-    spellings at once is ambiguous and raises.
-    """
-    if budget is None:
-        return SearchBudget(max_states=max_states, max_seconds=max_seconds)
-    if max_states is not None or max_seconds is not None:
-        raise ReproError(
-            "pass stopping criteria either through budget=SearchBudget(...) "
-            "or through the legacy max_states=/max_seconds= keywords, not both"
-        )
-    return budget

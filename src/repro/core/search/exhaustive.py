@@ -9,6 +9,12 @@ it run for up to 40 hours and still reports "did not terminate" for medium
 and large workflows; our implementation accepts explicit ``max_states`` /
 ``max_seconds`` budgets and reports ``completed=False`` with the best
 state found when a budget trips, mirroring that methodology.
+
+``SearchBudget.prune_dominated`` shrinks the frontier with
+:func:`dominance_class`: two states whose local groups contain the same
+activities in different *orders* are mutually reachable by in-group
+swaps, so the cheaper one dominates — exploring the dearer one cannot
+reach orderings the cheaper one cannot.
 """
 
 from __future__ import annotations
@@ -18,30 +24,74 @@ import time
 from collections import deque
 
 from repro.core.cost.model import CostModel, ProcessedRowsCostModel
-from repro.core.search.bound import (
-    bound_prunes,
-    dominance_class,
-    mobile_root_ids,
-    state_lower_bound,
-)
-from repro.core.search.budget import SearchBudget, coalesce_budget
+from repro.core.search.budget import SearchBudget
 from repro.core.search.result import OptimizationResult
 from repro.core.search.state import SearchState
 from repro.core.search.transposition import TranspositionCache
-from repro.core.signature import state_signature
+from repro.core.signature import _is_commutative, state_signature
 from repro.core.transitions.enumerate import candidate_transitions
-from repro.core.workflow import ETLWorkflow
+from repro.core.workflow import ETLWorkflow, Node
 from repro.exceptions import ReproError
 from repro.obs import get_recorder, record_transition, rejection_reason
 
-__all__ = ["exhaustive_search"]
+__all__ = ["dominance_class", "exhaustive_search"]
+
+
+def dominance_class(workflow: ETLWorkflow) -> str:
+    """A signature-like string with each local group's member ids sorted.
+
+    States whose workflows differ only in the *order* of activities
+    inside local groups share a class: ``((1.3)//(2.6.4.5)).7.8`` and
+    ``((1.3)//(2.4.5.6)).7.8`` both render ``((1.3)//(2.4.5.6)).7.8``.
+    Group borders (binaries, recordsets, fan-out points) are never
+    sorted across, so states separated by a factorization or a
+    distribution — which move activities *between* groups — always land
+    in different classes.  Same class therefore means mutually
+    reachable by in-group swaps (on the shipped templates), and the
+    cheapest representative dominates.
+    """
+    # Each group renders as one sorted token at its *last* member;
+    # earlier members pass their upstream prefix through unchanged.
+    group_token: dict[Node, str | None] = {}
+    for group in workflow.local_groups():
+        if len(group) < 2:
+            continue
+        group_token[group[-1]] = ".".join(sorted(a.id for a in group))
+        for member in group[:-1]:
+            group_token[member] = None
+    memo: dict[Node, str] = {}
+    graph_pred = workflow.graph._pred
+    for node in workflow.topological_order():
+        pred = graph_pred[node]
+        if node in group_token:
+            (provider,) = pred
+            token = group_token[node]
+            if token is None:
+                memo[node] = memo[provider]  # swallowed mid-group member
+            else:
+                memo[node] = f"{memo[provider]}.{token}"
+        elif not pred:
+            memo[node] = str(node.id)
+        elif len(pred) == 1:
+            (provider,) = pred
+            memo[node] = f"{memo[provider]}.{node.id}"
+        else:
+            if _is_commutative(node):
+                branches = sorted(f"({memo[p]})" for p in pred)
+            else:
+                ordered = sorted(pred, key=lambda p: pred[p]["port"])
+                branches = [f"({memo[p]})" for p in ordered]
+            memo[node] = f"({'//'.join(branches)}).{node.id}"
+    targets = workflow.targets()
+    if len(targets) == 1:
+        return memo[targets[0]]
+    return "//".join(sorted(memo[target] for target in targets))
+
 
 
 def exhaustive_search(
     workflow: ETLWorkflow,
     model: CostModel | None = None,
-    max_states: int | None = None,
-    max_seconds: float | None = None,
     strategy: str = "best_first",
     budget: SearchBudget | None = None,
     pool=None,
@@ -59,8 +109,6 @@ def exhaustive_search(
     Args:
         workflow: the initial state ``S0``.
         model: cost model; defaults to the paper's processed-rows model.
-        max_states: legacy spelling of ``budget.max_states``.
-        max_seconds: legacy spelling of ``budget.max_seconds``.
         strategy: ``"best_first"`` or ``"breadth_first"``.
         budget: uniform :class:`SearchBudget`; with ``jobs != 1`` the
             best-first frontier expands in parallel waves (see
@@ -77,7 +125,7 @@ def exhaustive_search(
     if strategy not in ("best_first", "breadth_first"):
         raise ReproError(f"unknown ES strategy {strategy!r}")
     model = model if model is not None else ProcessedRowsCostModel()
-    budget = coalesce_budget(budget, max_states=max_states, max_seconds=max_seconds)
+    budget = budget if budget is not None else SearchBudget()
 
     if budget.resolved_jobs() > 1 and strategy == "best_first":
         from repro.core.search.parallel import parallel_exhaustive
@@ -93,16 +141,13 @@ def exhaustive_search(
         ns.put_cost(initial.signature, initial.cost)
 
         seen: set[str] = {initial.signature}
-        # Pruning modes (both default off, leaving the classic traversal
-        # untouched): dominance keeps per-class incumbents, B&B skips
-        # expanding states whose admissible lower bound the incumbent
-        # best already meets.  Pruned states still count as visited.
+        # Dominance pruning (default off, leaving the classic traversal
+        # untouched) keeps per-class incumbents.  Pruned states still
+        # count as visited.
         class_best: dict[str, float] | None = None
         if budget.prune_dominated:
             class_best = {dominance_class(initial.workflow): initial.cost}
-        mobile = mobile_root_ids(initial.workflow) if budget.bound else None
         pruned_dominated = 0
-        bnb_cutoffs = 0
         best_first = strategy == "best_first"
         heap: list[tuple[float, str, SearchState]] = []
         fifo: deque[SearchState] = deque()
@@ -127,11 +172,6 @@ def exhaustive_search(
                 _, _, state = heapq.heappop(heap)
             else:
                 state = fifo.popleft()
-            if mobile is not None and bound_prunes(
-                state_lower_bound(state, model, mobile), best.cost
-            ):
-                bnb_cutoffs += 1
-                continue
             for transition in candidate_transitions(state.workflow):
                 successor_workflow = transition.try_apply_fast(state.workflow)
                 if successor_workflow is None:
@@ -193,13 +233,8 @@ def exhaustive_search(
                     break
 
         recorder = get_recorder()
-        if recorder.active:
-            if pruned_dominated:
-                recorder.counter("search.pruned_dominated").add(
-                    pruned_dominated
-                )
-            if bnb_cutoffs:
-                recorder.counter("search.bnb_cutoffs").add(bnb_cutoffs)
+        if recorder.active and pruned_dominated:
+            recorder.counter("search.pruned_dominated").add(pruned_dominated)
         return OptimizationResult(
             algorithm="ES",
             initial=initial,

@@ -33,11 +33,10 @@ def greedy_search(
 ) -> OptimizationResult:
     """Run HS-Greedy on the initial state; see :func:`heuristic_search`.
 
-    The :class:`SearchBudget` pruning knobs pass through unchanged:
-    ``prune_dominated`` filters the Phase II/III worklists exactly as in
-    HS, while ``beam_width`` and ``bound`` are no-ops here — greedy hill
-    climbing keeps a one-state frontier, so there is nothing to beam or
-    cut off.
+    The :class:`SearchBudget` pruning knobs are no-ops here:
+    ``beam_width`` because greedy hill climbing keeps a one-state
+    frontier, so there is nothing to beam, and ``prune_dominated``
+    because it is ES-only.
     """
     return heuristic_search(
         workflow,

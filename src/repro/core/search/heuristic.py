@@ -48,19 +48,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import time
 from dataclasses import dataclass
 
-from repro.core.activity import Activity, CompositeActivity
+from repro.core.activity import Activity, CompositeActivity, base_clone_id
 from repro.core.cost.estimator import estimate
 from repro.core.cost.model import CostModel, ProcessedRowsCostModel
-from repro.core.search.bound import (
-    bound_prunes,
-    clone_root_id,
-    dominance_class,
-    group_lower_bound,
-)
 from repro.core.search.budget import SearchBudget
 from repro.core.search.result import OptimizationResult
 from repro.core.search.state import SearchState
@@ -100,14 +93,13 @@ class HSConfig:
             ``visited`` worklist (guards pathological fan-out).
         phase_iv_cap: number of recorded states (cheapest first) whose
             local groups Phase IV re-optimizes.
-        max_seconds: overall wall-clock budget; best-so-far is returned
-            with ``completed=False`` when it trips.
+
+    Stopping criteria live on :class:`SearchBudget`, not here.
     """
 
     group_cap: int = 64
     phase_state_cap: int = 48
     phase_iv_cap: int = 8
-    max_seconds: float | None = None
 
 
 class _Session:
@@ -131,11 +123,6 @@ class _Session:
         self.config = config
         self.budget = budget
         self.algorithm = algorithm
-        self.max_seconds = (
-            budget.max_seconds
-            if budget.max_seconds is not None
-            else config.max_seconds
-        )
         self.ns = ns
         self.pool = pool
         #: Fork-server token of the preloaded (S0 workflow, model) pair;
@@ -147,8 +134,8 @@ class _Session:
         self.best: SearchState | None = None
 
     def check_budget(self) -> None:
-        if self.max_seconds is not None:
-            if time.perf_counter() - self.started > self.max_seconds:
+        if self.budget.max_seconds is not None:
+            if time.perf_counter() - self.started > self.budget.max_seconds:
                 raise SearchBudgetExceeded("HS wall-clock budget exhausted")
         if self.budget.max_states is not None:
             if len(self.seen) >= self.budget.max_states:
@@ -206,8 +193,8 @@ def heuristic_search(
         config: see :class:`HSConfig` (tuning knobs of the four phases).
         greedy: switch to the HS-Greedy swap strategy.
         budget: uniform :class:`SearchBudget` — stopping criteria plus the
-            ``jobs`` / ``cache`` execution knobs.  ``budget.max_seconds``
-            supersedes the legacy ``config.max_seconds`` when both are set.
+            ``jobs`` / ``cache`` execution knobs and the HS-only
+            ``beam_width``; the ES-only ``prune_dominated`` is ignored.
         pool: a :class:`~repro.core.search.parallel.WorkerPool` to reuse
             (:func:`~repro.core.search.parallel.optimize_many` amortizes
             one pool across runs); by default a pool is created on demand
@@ -479,8 +466,14 @@ def _find_distributable(workflow: ETLWorkflow) -> list[Activity]:
     return found
 
 
-#: Strip DIS clone suffixes recursively: ``8_1_2`` -> ``8``.
-_root_id = clone_root_id
+def _root_id(activity_id: str) -> str:
+    """Strip DIS clone suffixes recursively: ``8_1_2`` -> ``8``."""
+    current = activity_id
+    while True:
+        stripped = base_clone_id(current)
+        if stripped == current:
+            return current
+        current = stripped
 
 
 def _distributable_in_state(
@@ -596,20 +589,17 @@ def _group_memo_key(
     greedy: bool,
     group_cap: int,
     beam_width: int | None = None,
-    bound: bool = False,
 ) -> str:
     """Cache key for one group outcome — the mode suffix grows only when
-    a pruning knob is on, so pre-existing cache entries stay valid."""
+    the beam is on, so pre-existing cache entries stay valid."""
     if greedy:
-        # Hill climbing ignores the pruning knobs (its frontier is one
-        # state), so greedy outcomes share a key across pruning modes.
+        # Hill climbing ignores the beam (its frontier is one state), so
+        # greedy outcomes share a key across beam widths.
         mode = "greedy"
     else:
         mode = f"bf{group_cap}"
         if beam_width is not None:
             mode += f"+bw{beam_width}"
-        if bound:
-            mode += "+bnb"
     return f"{signature}|{'.'.join(member_ids)}|{mode}"
 
 
@@ -691,7 +681,7 @@ def _resolve_base(
 def _group_task(
     args: tuple[
         tuple, list[list[str]], bool, int, CostModel | None, bool,
-        int | None, bool,
+        int | None,
     ],
 ) -> tuple[
     list[tuple[list[tuple[str, str]], list[tuple[str, float]]]], list[dict]
@@ -710,9 +700,7 @@ def _group_task(
     parallel runs produce the same telemetry shape and byte-identical
     search outcomes.
     """
-    base_ref, group_lists, greedy, group_cap, model, telemetry, beam, bound = (
-        args
-    )
+    base_ref, group_lists, greedy, group_cap, model, telemetry, beam = args
     workflow, model = _resolve_base(base_ref, model)
     algorithm = "HS-Greedy" if greedy else "HS"
     local = Recorder() if telemetry else NULL_RECORDER
@@ -746,7 +734,6 @@ def _group_task(
                         group_cap,
                         algorithm,
                         beam_width=beam,
-                        bound=bound,
                     )
                 local.counter("search.group.states_explored").add(
                     len(explored)
@@ -762,17 +749,12 @@ def _explore_hermetic(
     group_cap: int,
     algorithm: str = "HS",
     beam_width: int | None = None,
-    bound: bool = False,
 ) -> tuple[list[tuple[str, str]], list[tuple[str, float]]]:
     """Best-first exploration of a group's reachable orderings (HS).
 
     ``beam_width`` trims the frontier to the k cheapest orderings after
-    each expansion; ``bound`` stops exploring once the incumbent best
-    matches the group's admissible lower bound (in-group swaps leave the
-    group input and the rest of the graph invariant, so the bound is a
-    single constant per group — see
-    :func:`~repro.core.search.bound.group_lower_bound`).  Both knobs
-    default to off and leave the unpruned exploration byte-identical.
+    each expansion; off by default, leaving the unbeamed exploration
+    byte-identical.
     """
     best_cost = base.cost
     best_path: tuple[tuple[str, str], ...] = ()
@@ -782,30 +764,8 @@ def _explore_hermetic(
     heap: list[
         tuple[float, int, SearchState, tuple[tuple[str, str], ...]]
     ] = [(base.cost, next(counter), base, ())]
-    lower_bound: float | None = None
-    if bound:
-        ordered = sorted(members, key=lambda a: a.id)
-        head = next(
-            node for node in base.workflow.topological_order()
-            if node in members
-        )
-        input_card = base.report.cardinalities[
-            base.workflow.providers(head)[0]
-        ]
-        outside_cost = base.cost - math.fsum(
-            base.report.cost_of(member) for member in ordered
-        )
-        lower_bound = outside_cost + group_lower_bound(
-            ordered, input_card, model
-        )
-    cutoffs = 0
     expansions = 0
     while heap and expansions < group_cap:
-        if lower_bound is not None and bound_prunes(lower_bound, best_cost):
-            # No frontier state can lead below the bound the incumbent
-            # already meets — every remaining expansion is cut off.
-            cutoffs += len(heap)
-            break
         _, _, expanding, path = heapq.heappop(heap)
         expansions += 1
         for swap in _group_swaps(expanding.workflow, members):
@@ -841,10 +801,6 @@ def _explore_hermetic(
         if beam_width is not None and len(heap) > beam_width:
             # nsmallest returns ascending order — a valid heap as-is.
             heap = heapq.nsmallest(beam_width, heap)
-    if cutoffs:
-        recorder = get_recorder()
-        if recorder.active:
-            recorder.counter("search.bnb_cutoffs").add(cutoffs)
     return list(best_path), explored
 
 
@@ -912,13 +868,10 @@ def _optimize_all_groups(
         return state
     group_cap = session.config.group_cap
     beam_width = session.budget.beam_width
-    bound = session.budget.bound
     recorder = get_recorder()
 
     keys = [
-        _group_memo_key(
-            state.signature, ids, greedy, group_cap, beam_width, bound
-        )
+        _group_memo_key(state.signature, ids, greedy, group_cap, beam_width)
         for ids in groups
     ]
     outcomes: list[
@@ -973,7 +926,6 @@ def _optimize_all_groups(
                 task_model,
                 recorder.active,
                 beam_width,
-                bound,
             )
             for batch in batches
         ]
@@ -1033,37 +985,6 @@ def _group_swaps(workflow: ETLWorkflow, members: set[Activity]) -> list[Swap]:
     return swaps
 
 
-class _DominanceFilter:
-    """Phase II/III worklist guard (``SearchBudget.prune_dominated``).
-
-    A produced state whose dominance class already holds a state at
-    least as cheap is *recorded* (it counts as visited and updates the
-    running best) but not put back on the worklist — the cheaper
-    same-class state reaches every ordering it could.  Disabled (the
-    default) the filter admits everything and the phases are unchanged.
-    """
-
-    def __init__(self, session: _Session, states: list[SearchState]):
-        self.enabled = session.budget.prune_dominated
-        self.best: dict[str, float] = {}
-        if self.enabled:
-            for state in states:
-                self.admit(state)
-
-    def admit(self, state: SearchState) -> bool:
-        if not self.enabled:
-            return True
-        cls = dominance_class(state.workflow)
-        prior = self.best.get(cls)
-        if prior is not None and prior <= state.cost:
-            recorder = get_recorder()
-            if recorder.active:
-                recorder.counter("search.pruned_dominated").add(1)
-            return False
-        self.best[cls] = state.cost
-        return True
-
-
 # -- Phase II: factorization -------------------------------------------------------------
 
 
@@ -1074,7 +995,6 @@ def _phase_factorize(
 ) -> list[SearchState]:
     worklist = list(visited)
     produced = list(visited)
-    dominance = _DominanceFilter(session, visited)
     for state in worklist:
         for first, second, binary in homologous_pairs:
             if first not in state.workflow or second not in state.workflow:
@@ -1114,7 +1034,6 @@ def _phase_factorize(
             if (
                 session.record(new_state)
                 and len(produced) < session.config.phase_state_cap
-                and dominance.admit(new_state)
             ):
                 produced.append(new_state)
                 worklist.append(new_state)
@@ -1132,7 +1051,6 @@ def _phase_distribute(
     distributable_roots = {_root_id(a.id) for a in distributable}
     worklist = list(visited)
     produced = list(visited)
-    dominance = _DominanceFilter(session, visited)
     for state in worklist:
         for activity in _distributable_in_state(state, distributable_roots):
             binary = _nearest_binary_upstream(state.workflow, activity)
@@ -1166,7 +1084,6 @@ def _phase_distribute(
             if (
                 session.record(new_state)
                 and len(produced) < session.config.phase_state_cap
-                and dominance.admit(new_state)
             ):
                 produced.append(new_state)
                 worklist.append(new_state)

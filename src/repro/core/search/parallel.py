@@ -50,14 +50,8 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.cost.model import CostModel, ProcessedRowsCostModel
 from repro.core.search.annealing import annealing_search
-from repro.core.search.bound import (
-    bound_prunes,
-    dominance_class,
-    mobile_root_ids,
-    state_lower_bound,
-)
 from repro.core.search.budget import SearchBudget
-from repro.core.search.exhaustive import exhaustive_search
+from repro.core.search.exhaustive import dominance_class, exhaustive_search
 from repro.core.search.greedy import greedy_search
 from repro.core.search.heuristic import heuristic_search
 from repro.core.search.result import OptimizationResult
@@ -399,9 +393,7 @@ def parallel_exhaustive(
         class_best: dict[str, float] | None = None
         if budget.prune_dominated:
             class_best = {dominance_class(initial.workflow): initial.cost}
-        mobile = mobile_root_ids(initial.workflow) if budget.bound else None
         pruned_dominated = 0
-        bnb_cutoffs = 0
 
         def budget_tripped() -> bool:
             if budget.max_states is not None and len(seen) >= budget.max_states:
@@ -417,15 +409,7 @@ def parallel_exhaustive(
                 break
             wave: list[tuple[float, str, SearchState]] = []
             while heap and len(wave) < _WAVE:
-                item = heapq.heappop(heap)
-                if mobile is not None and bound_prunes(
-                    state_lower_bound(item[2], model, mobile), best.cost
-                ):
-                    bnb_cutoffs += 1
-                    continue
-                wave.append(item)
-            if not wave:
-                break
+                wave.append(heapq.heappop(heap))
             with recorder.span(
                 "search.es.wave", states=len(wave), algorithm="ES"
             ):
@@ -472,13 +456,8 @@ def parallel_exhaustive(
             if not completed:
                 break
 
-        if recorder.active:
-            if pruned_dominated:
-                recorder.counter("search.pruned_dominated").add(
-                    pruned_dominated
-                )
-            if bnb_cutoffs:
-                recorder.counter("search.bnb_cutoffs").add(bnb_cutoffs)
+        if recorder.active and pruned_dominated:
+            recorder.counter("search.pruned_dominated").add(pruned_dominated)
         return OptimizationResult(
             algorithm="ES",
             initial=initial,
@@ -622,8 +601,8 @@ def optimize_many(
     budget = budget if budget is not None else SearchBudget()
     cache, owned_cache = TranspositionCache.resolve(budget.cache)
     # dataclasses.replace keeps *every* knob — rebuilding the budget field
-    # by field once silently dropped the PR 6 pruning knobs (beam_width /
-    # prune_dominated / bound), so batch runs ignored them.
+    # by field once silently dropped the pruning knobs (beam_width /
+    # prune_dominated), so batch runs ignored them.
     shared_budget = replace(budget, cache=cache)
     jobs = budget.resolved_jobs()
     pool = WorkerPool(jobs) if jobs > 1 else None

@@ -9,10 +9,11 @@ between releases.  The core execution surface is:
 * :class:`Batch` — the columnar unit of data flow: a dict of equal-length
   column lists plus a lazy row-dict adapter (``.columns``, ``.rows()``,
   ``.num_rows``, ``from_rows`` / ``to_rows``);
-* :class:`Executor` (and the :class:`TracingExecutor` /
-  :class:`CheckpointingExecutor` variants) — all three ``run()`` methods
-  share the ``(workflow, data, *, budget=..., recorder=..., ...)``
-  keyword shape;
+* :class:`Executor` — one ``run(workflow, data, *, budget=...,
+  recorder=..., shards=..., checkpoint=...)`` for every execution path;
+  an active recorder gets the run's operator spans
+  (:meth:`TraceReport.from_recorder` renders them as a profile), and a
+  :class:`CheckpointStore` makes the run resumable;
 * :class:`ExecutionBudget` / :class:`ExecutionResult` /
   :class:`ExecutionStats` — the run-configuration and run-outcome types;
 * :func:`iter_batches` / :func:`rebatch` — chunking helpers that accept a
@@ -21,10 +22,6 @@ between releases.  The core execution surface is:
   sharded streaming (``Executor.run(..., shards=N)``): range-partitioned
   sources, one streaming pipeline per shard, deterministic merge that is
   byte-identical to the serial run on targets/stats/rejects.
-
-The deprecated row-list helper spellings (``iter_row_batches``,
-``rebatch_rows``) remain importable from :mod:`repro.engine.batches` and
-warn once per process.
 """
 
 from repro.engine.batches import (
@@ -43,7 +40,6 @@ from repro.engine.calibrate import (
     measure_selectivities,
 )
 from repro.engine.checkpoint import (
-    CheckpointingExecutor,
     CheckpointStore,
     PartialCheckpoint,
     SimulatedFailure,
@@ -69,7 +65,7 @@ from repro.engine.operators import (
     default_scalar_functions,
 )
 from repro.engine.rows import Row, as_multiset, freeze_row
-from repro.engine.tracing import ActivityTrace, TraceReport, TracingExecutor
+from repro.engine.tracing import ActivityTrace, TraceReport
 from repro.engine.validate import (
     RunEquivalenceReport,
     StreamingConformanceReport,
@@ -98,8 +94,6 @@ __all__ = [
     "shard_bounds",
     "ActivityTrace",
     "TraceReport",
-    "TracingExecutor",
-    "CheckpointingExecutor",
     "CheckpointStore",
     "PartialCheckpoint",
     "SimulatedFailure",

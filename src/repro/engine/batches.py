@@ -13,8 +13,7 @@ own:
   overflows to disk once the run exceeds its resident-row budget;
 * :func:`iter_batches` / :func:`rebatch` — chunking helpers.  Both
   accept either a :class:`~repro.engine.columnar.Batch` or a plain row
-  sequence and always yield ``Batch`` (the deprecated row-list variants
-  live behind ``iter_row_batches`` / ``rebatch_rows`` shims).
+  sequence and always yield ``Batch``.
 
 Accounting model
 ----------------
@@ -33,7 +32,6 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -357,43 +355,3 @@ def rebatch(
             chunk = []
     if chunk:
         yield Batch.from_rows(chunk)
-
-
-def _iter_row_batches(
-    rows: Sequence[Row], batch_size: int
-) -> Iterator[list[Row]]:
-    for batch in iter_batches(rows, batch_size):
-        yield batch.to_rows()
-
-
-def _rebatch_rows(
-    rows: Iterable[Row], batch_size: int
-) -> Iterator[list[Row]]:
-    for batch in rebatch(rows, batch_size):
-        yield batch.to_rows()
-
-
-_ROW_HELPER_SHIMS = {
-    "iter_row_batches": (_iter_row_batches, "iter_batches"),
-    "rebatch_rows": (_rebatch_rows, "rebatch"),
-}
-_warned_row_helpers: set[str] = set()
-
-
-def __getattr__(name: str):
-    # Row-list compatibility shims: the pre-columnar engine chunked
-    # flows into list[Row]; code that still needs bare row lists can
-    # import these spellings, warned once per process.
-    shim = _ROW_HELPER_SHIMS.get(name)
-    if shim is not None:
-        helper, replacement = shim
-        if name not in _warned_row_helpers:
-            _warned_row_helpers.add(name)
-            warnings.warn(
-                f"repro.engine.batches.{name} is deprecated; use "
-                f"{replacement} (which yields Batch) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return helper
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,9 +3,10 @@
 ETL workflows run in tight night-time windows; when a load dies at 3 a.m.
 the operator wants to resume, not restart (the paper cites Labio et al.,
 "Efficient Resumption of Interrupted Warehouse Loads" [12], as related
-work).  :class:`CheckpointingExecutor` persists each node's output flow
-into a :class:`CheckpointStore` as it completes; a re-run against the
-same store skips every checkpointed node and recomputes only the rest.
+work).  ``Executor.run(..., checkpoint=store)`` persists each node's
+output flow into a :class:`CheckpointStore` as it completes; a re-run
+against the same store skips every checkpointed node and recomputes only
+the rest.
 
 With an :class:`~repro.engine.batches.ExecutionBudget`, checkpointing is
 **batch-granular**: each node's output is appended to a
@@ -16,41 +17,32 @@ input rows it had not consumed; blocking and binary nodes discard the
 partial and recompute whole (their accumulator state is not captured by
 output batches alone).
 
-Failures are injected by node id (``fail_before``) or by batch position
-(``fail_after=(node_id, n)`` — die after the node's *n*-th output batch
-is appended), which makes the recovery property mechanically testable:
-for *any* failure point, failing + resuming must produce exactly the full
-run's targets while recomputing only the work that had not completed.
+For tests, a store can inject one failure: by node id (``fail_before``)
+or by batch position (``fail_after=(node_id, n)`` — die after the node's
+*n*-th output batch is appended).  An injected failure fires once and
+disarms itself, so the next run against the store is the resume.  That
+makes the recovery property mechanically testable: for *any* failure
+point, failing + resuming must produce exactly the full run's targets
+while recomputing only the work that had not completed.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.core.activity import Activity
-from repro.core.recordset import RecordSet
 from repro.core.flags import columnar_enabled
-from repro.core.workflow import ETLWorkflow
 from repro.engine.batches import ExecutionBudget, iter_batches
 from repro.engine.columnar import Batch, FusedChainRunner, supports_columnar
-from repro.engine.executor import (
-    _UNSET,
-    _resolve_run_args,
-    ExecutionResult,
-    ExecutionStats,
-    Executor,
-    iter_components,
-)
-from repro.engine.rows import Row, check_rows_match_schema
+from repro.engine.executor import ExecutionStats, Executor, iter_components
+from repro.engine.rows import Row
 from repro.exceptions import ExecutionError
-from repro.obs import Recorder, use_recorder
 
 __all__ = [
     "SimulatedFailure",
     "PartialCheckpoint",
     "CheckpointStore",
-    "CheckpointingExecutor",
+    "run_activity_batched",
 ]
 
 
@@ -89,10 +81,19 @@ class PartialCheckpoint:
 
 @dataclass
 class CheckpointStore:
-    """Per-node output flows of (partially) completed runs."""
+    """Per-node output flows of (partially) completed runs.
+
+    ``fail_before`` / ``fail_after`` are test-only failure injection: the
+    run aborts with :class:`SimulatedFailure` just before node
+    ``fail_before`` executes, or after node ``fail_after[0]``'s
+    ``fail_after[1]``-th output batch was durably appended (needs a
+    ``budget``).  Each fires once and then disarms.
+    """
 
     flows: dict[str, list[Row]] = field(default_factory=dict)
     partials: dict[str, PartialCheckpoint] = field(default_factory=dict)
+    fail_before: str | None = None
+    fail_after: tuple[str, int] | None = None
 
     def __contains__(self, node_id: object) -> bool:
         return node_id in self.flows
@@ -123,6 +124,18 @@ class CheckpointStore:
         if partial.consumed_rows is not None:
             partial.consumed_rows = consumed_rows
 
+    def check_fail_before(self, node_id: str) -> None:
+        if self.fail_before is not None and node_id == self.fail_before:
+            self.fail_before = None
+            raise SimulatedFailure(node_id)
+
+    def check_fail_after(self, node_id: str, appended: int) -> None:
+        if self.fail_after is not None and self.fail_after == (
+            node_id, appended
+        ):
+            self.fail_after = None
+            raise SimulatedFailure(node_id, after_batches=appended)
+
     def clear(self) -> None:
         self.flows.clear()
         self.partials.clear()
@@ -132,189 +145,76 @@ class CheckpointStore:
         return frozenset(self.flows)
 
 
-class CheckpointingExecutor(Executor):
-    """An :class:`Executor` that checkpoints node outputs and resumes.
+def run_activity_batched(
+    executor: Executor,
+    activity: Activity,
+    inputs: tuple[list[Row], ...],
+    stats: ExecutionStats,
+    store: CheckpointStore,
+    budget: ExecutionBudget,
+) -> list[Row]:
+    """Run one node for ``Executor.run(..., checkpoint=store,
+    budget=...)``, appending its output to a partial checkpoint one batch
+    at a time (and resuming a row-wise prefix if present)."""
+    from repro.engine.streaming import is_row_wise
 
-    ``run`` accepts a :class:`CheckpointStore` (reused across attempts),
-    an optional ``fail_before`` node id that aborts the run just before
-    that node executes, and — when a ``budget`` sets a batch size — an
-    optional ``fail_after=(node_id, n)`` that aborts after the node's
-    *n*-th output batch was durably appended.  Everything already saved
-    (including partial row-wise prefixes) is reused by the next call.
-    """
+    components = tuple(iter_components(activity))
+    row_wise = activity.is_unary and all(
+        is_row_wise(component) for component in components
+    )
 
-    def run(
-        self,
-        workflow: ETLWorkflow,
-        source_data: Mapping[str, list[Row]],
-        *legacy,
-        check_schemas: bool = _UNSET,  # type: ignore[assignment]
-        checkpoints: CheckpointStore | None = _UNSET,  # type: ignore[assignment]
-        fail_before: str | None = _UNSET,  # type: ignore[assignment]
-        fail_after: tuple[str, int] | None = _UNSET,  # type: ignore[assignment]
-        budget: ExecutionBudget | None = _UNSET,  # type: ignore[assignment]
-        recorder: Recorder | None = None,
-    ) -> ExecutionResult:
-        (
-            check_schemas,
-            checkpoints,
-            fail_before,
-            fail_after,
-            budget,
-        ) = _resolve_run_args(
-            "CheckpointingExecutor.run",
-            legacy,
-            ("check_schemas", "checkpoints", "fail_before", "fail_after",
-             "budget"),
-            (check_schemas, checkpoints, fail_before, fail_after, budget),
-            (True, None, None, None, None),
-        )
-        if recorder is not None:
-            with use_recorder(recorder):
-                return self._checkpointed_run(
-                    workflow, source_data, check_schemas, checkpoints,
-                    fail_before, fail_after, budget,
-                )
-        return self._checkpointed_run(
-            workflow, source_data, check_schemas, checkpoints, fail_before,
-            fail_after, budget,
-        )
+    partial = store.partials.get(activity.id)
+    if (
+        partial is not None
+        and row_wise
+        and partial.consumed_rows is not None
+    ):
+        # Durable prefix from the failed attempt: keep it, recompute
+        # only the input suffix it had not consumed.
+        start = partial.consumed_rows
+    else:
+        partial = store.begin_partial(activity.id, resumable=row_wise)
+        start = 0
 
-    def _checkpointed_run(
-        self,
-        workflow: ETLWorkflow,
-        source_data: Mapping[str, list[Row]],
-        check_schemas: bool,
-        checkpoints: CheckpointStore | None,
-        fail_before: str | None,
-        fail_after: tuple[str, int] | None,
-        budget: ExecutionBudget | None,
-    ) -> ExecutionResult:
-        workflow.validate()
-        workflow.propagate_schemas()
-        store = checkpoints if checkpoints is not None else CheckpointStore()
-        budget = budget if budget is not None else self.default_budget
-        if fail_after is not None and budget is None:
-            raise ExecutionError(
-                "fail_after requires a budget (batch-granular mode)"
-            )
-
-        flows: dict[object, list[Row]] = {}
-        stats = ExecutionStats()
-        targets: dict[str, list[Row]] = {}
-
-        for node in workflow.topological_order():
-            if fail_before is not None and node.id == fail_before:
-                raise SimulatedFailure(node.id)
-            if node.id in store:
-                flows[node] = store.restore(node.id)
-                if isinstance(node, RecordSet) and node.is_target:
-                    targets[node.name] = flows[node]
-                continue
-            if isinstance(node, RecordSet):
-                if node.is_source:
-                    try:
-                        rows = source_data[node.name]
-                    except KeyError:
-                        raise ExecutionError(
-                            f"no data supplied for source {node.name!r}"
-                        ) from None
-                    if check_schemas:
-                        check_rows_match_schema(
-                            rows, node.schema, f"source {node.name}"
-                        )
-                    flows[node] = list(rows)
-                else:
-                    flows[node] = flows[workflow.providers(node)[0]]
-                    if node.is_target:
-                        targets[node.name] = flows[node]
-            else:
-                inputs = tuple(flows[p] for p in workflow.providers(node))
-                if budget is None:
-                    flows[node] = self._run_activity(node, inputs, stats)
-                else:
-                    flows[node] = self._run_activity_batched(
-                        node, inputs, stats, store, budget, fail_after
-                    )
-            store.save(node.id, flows[node])
-        return ExecutionResult(targets=targets, stats=stats)
-
-    def _run_activity_batched(
-        self,
-        activity: Activity,
-        inputs: tuple[list[Row], ...],
-        stats: ExecutionStats,
-        store: CheckpointStore,
-        budget: ExecutionBudget,
-        fail_after: tuple[str, int] | None,
-    ) -> list[Row]:
-        """Run one node, appending its output to a partial checkpoint
-        one batch at a time (and resuming a row-wise prefix if present)."""
-        components = tuple(iter_components(activity))
-        from repro.engine.streaming import is_row_wise
-
-        row_wise = activity.is_unary and all(
-            is_row_wise(component) for component in components
-        )
-        fail_at = (
-            fail_after[1]
-            if fail_after is not None and fail_after[0] == activity.id
-            else None
-        )
-
-        partial = store.partials.get(activity.id)
-        if (
-            partial is not None
-            and row_wise
-            and partial.consumed_rows is not None
+    registry, context = executor.registry, executor.context
+    appended = 0
+    if row_wise:
+        flow = inputs[0]
+        runner = None
+        if columnar_enabled() and all(
+            supports_columnar(component, registry)
+            for component in components
         ):
-            # Durable prefix from the failed attempt: keep it, recompute
-            # only the input suffix it had not consumed.
-            start = partial.consumed_rows
-        else:
-            partial = store.begin_partial(activity.id, resumable=row_wise)
-            start = 0
-
-        appended = 0
-        if row_wise:
-            flow = inputs[0]
-            runner = None
-            if columnar_enabled() and all(
-                supports_columnar(component, self.registry)
-                for component in components
-            ):
-                runner = FusedChainRunner(self.context, self.registry)
-                runner.add(components)
-            for offset in range(start, len(flow), budget.batch_size):
-                batch = flow[offset : offset + budget.batch_size]
-                if runner is not None:
-                    out, counts, _ = runner.run_batch(Batch.from_rows(batch))
-                    for component, (rows_in, rows_out) in zip(
-                        components, counts
-                    ):
-                        stats.record(component.id, rows_in, rows_out)
-                else:
-                    out = batch
-                    for component in components:
-                        operator = self.registry.get(component.template.name)
-                        produced = operator(component, (out,), self.context)
-                        stats.record(component.id, len(out), len(produced))
-                        out = produced
-                store.append_partial(partial, out, offset + len(batch))
-                appended += 1
-                if fail_at is not None and appended >= fail_at:
-                    raise SimulatedFailure(activity.id, after_batches=appended)
-            return partial.rows
-
-        # Blocking/binary node: compute whole (accumulator state is not
-        # reconstructible from output batches), then persist the output
-        # batch-by-batch so the failure injection point still exists.
-        produced = self._run_activity(activity, inputs, stats)
-        for batch in iter_batches(produced, budget.batch_size):
-            store.append_partial(partial, batch, None)
+            runner = FusedChainRunner(context, registry)
+            runner.add(components)
+        for offset in range(start, len(flow), budget.batch_size):
+            batch = flow[offset : offset + budget.batch_size]
+            if runner is not None:
+                out, counts, _ = runner.run_batch(Batch.from_rows(batch))
+                for component, (rows_in, rows_out) in zip(
+                    components, counts
+                ):
+                    stats.record(component.id, rows_in, rows_out)
+            else:
+                out = batch
+                for component in components:
+                    operator = registry.get(component.template.name)
+                    produced = operator(component, (out,), context)
+                    stats.record(component.id, len(out), len(produced))
+                    out = produced
+            store.append_partial(partial, out, offset + len(batch))
             appended += 1
-            if fail_at is not None and appended >= fail_at:
-                raise SimulatedFailure(activity.id, after_batches=appended)
-        return produced
-    # NB: blocking nodes with empty output never hit a fail_after point —
+            store.check_fail_after(activity.id, appended)
+        return partial.rows
+
+    # Blocking/binary node: compute whole (accumulator state is not
+    # reconstructible from output batches), then persist the output
+    # batch-by-batch so the failure injection point still exists.  A
+    # blocking node with empty output never hits a fail_after point —
     # there is no batch boundary to fail on.
+    produced = executor._run_activity(activity, inputs, stats)
+    for batch in iter_batches(produced, budget.batch_size):
+        store.append_partial(partial, batch, None)
+        appended += 1
+        store.check_fail_after(activity.id, appended)
+    return produced

@@ -21,13 +21,22 @@ Two execution paths share that contract:
 Composite (MER'd) activities are unfolded through one shared helper,
 :func:`iter_components`, so both paths report member-level row counts
 identically.
+
+Tracing and checkpointing are options of the one :meth:`Executor.run`:
+while a :class:`~repro.obs.Recorder` is active every run records an
+``engine.run`` span with one ``engine.operator`` span per component
+(:class:`~repro.engine.tracing.TraceReport` reads them back as a
+profile), and ``checkpoint=`` persists each node's output into a
+:class:`~repro.engine.checkpoint.CheckpointStore` so a re-run resumes.
 """
 
 from __future__ import annotations
 
-import warnings
+import time
 from collections.abc import Iterator, Mapping
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.activity import Activity, CompositeActivity
 from repro.core.recordset import RecordSet
@@ -41,7 +50,10 @@ from repro.engine.operators import (
 )
 from repro.engine.rows import Row, check_rows_match_schema
 from repro.exceptions import ExecutionError
-from repro.obs import Recorder, use_recorder
+from repro.obs import Recorder, get_recorder, use_recorder
+
+if TYPE_CHECKING:
+    from repro.engine.checkpoint import CheckpointStore
 
 __all__ = [
     "ExecutionStats",
@@ -49,57 +61,6 @@ __all__ = [
     "Executor",
     "iter_components",
 ]
-
-#: Sentinel distinguishing "keyword not passed" from an explicit value,
-#: so a deprecated positional and its keyword can be caught as a clash.
-_UNSET: object = object()
-
-_warned_positional: set[str] = set()
-
-
-def _resolve_run_args(
-    method: str,
-    legacy: tuple,
-    names: tuple[str, ...],
-    keywords: tuple,
-    defaults: tuple,
-) -> tuple:
-    """Map deprecated positional ``run()`` arguments onto their keywords.
-
-    All executors share the ``run(workflow, data, *, budget=...,
-    recorder=..., ...)`` keyword shape; arguments beyond ``(workflow,
-    data)`` passed positionally still land on the historical parameter
-    order (``names``) but warn once per method — the same facade pattern
-    :func:`repro.optimize` uses for its legacy budget spellings.
-    """
-    values = list(keywords)
-    if legacy:
-        if len(legacy) > len(names):
-            raise TypeError(
-                f"{method}() takes at most {2 + len(names)} positional "
-                f"arguments ({2 + len(legacy)} given)"
-            )
-        if method not in _warned_positional:
-            _warned_positional.add(method)
-            warnings.warn(
-                f"passing {method}() arguments positionally beyond "
-                f"(workflow, source_data) is deprecated; pass "
-                f"{', '.join(f'{name}=' for name in names[: len(legacy)])}"
-                f"by keyword",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        for index, value in enumerate(legacy):
-            if values[index] is not _UNSET:
-                raise TypeError(
-                    f"{method}() got multiple values for argument "
-                    f"{names[index]!r}"
-                )
-            values[index] = value
-    return tuple(
-        default if value is _UNSET else value
-        for value, default in zip(values, defaults)
-    )
 
 
 def iter_components(activity: Activity) -> Iterator[Activity]:
@@ -165,33 +126,29 @@ class Executor:
             to a context holding the builtin scalar function library.
         registry: template-name -> operator mapping; defaults to the
             builtin operators.
-        budget: default :class:`ExecutionBudget` applied to every
-            :meth:`run` that does not pass its own — an executor built
-            with a budget streams by default.
     """
 
     def __init__(
         self,
         context: EngineContext | None = None,
         registry: OperatorRegistry | None = None,
-        budget: ExecutionBudget | None = None,
     ):
         if context is None:
             context = EngineContext(scalar_functions=default_scalar_functions())
         self.context = context
         self.registry = registry if registry is not None else default_registry()
-        self.default_budget = budget
 
     def run(
         self,
         workflow: ETLWorkflow,
         source_data: Mapping[str, list[Row]],
-        *legacy,
-        check_schemas: bool = _UNSET,  # type: ignore[assignment]
-        collect_rejects: bool = _UNSET,  # type: ignore[assignment]
-        budget: ExecutionBudget | None = _UNSET,  # type: ignore[assignment]
+        *,
+        check_schemas: bool = True,
+        collect_rejects: bool = False,
+        budget: ExecutionBudget | None = None,
         recorder: Recorder | None = None,
         shards: int | None = None,
+        checkpoint: CheckpointStore | None = None,
     ) -> ExecutionResult:
         """Execute ``workflow`` on ``source_data`` (keyed by source name).
 
@@ -200,75 +157,107 @@ class Executor:
         mismatches at the boundary instead of deep inside an operator.
         With ``collect_rejects``, every filter activity's dropped rows are
         gathered into ``ExecutionResult.rejects`` (keyed by activity id).
-        With a ``budget`` (or a default budget on the executor), rows are
-        streamed through the graph in batches instead of materialized.
+        With a ``budget``, rows are streamed through the graph in batches
+        instead of materialized.
         With a ``recorder``, that :class:`~repro.obs.Recorder` is active
-        for the duration of the run (telemetry spans/counters land there).
+        for the duration of the run; whichever recorder is active receives
+        the run's ``engine.run`` / ``engine.operator`` spans (see
+        :meth:`~repro.engine.tracing.TraceReport.from_recorder`).
         With ``shards`` > 1, the run is split into that many data-parallel
         streaming pipelines over range-partitioned sources (implies
         streaming; targets/stats/rejects stay byte-identical to serial —
         see :mod:`repro.engine.partition`), degrading to serial streaming
         with a warning when the workflow shape does not allow it.
-
-        Arguments beyond ``(workflow, source_data)`` are keyword-only;
-        the historical positional form still works but warns once.
+        With a ``checkpoint`` store, every node's output is saved as it
+        completes and nodes already in the store are restored instead of
+        recomputed, so a run that failed resumes where it stopped; with a
+        ``budget`` as well, outputs are saved batch by batch (see
+        :mod:`repro.engine.checkpoint`).  Checkpointing runs the
+        materializing loop, so it combines with neither ``shards`` > 1
+        nor ``collect_rejects``.
         """
-        check_schemas, collect_rejects, budget = _resolve_run_args(
-            "Executor.run",
-            legacy,
-            ("check_schemas", "collect_rejects", "budget"),
-            (check_schemas, collect_rejects, budget),
-            (True, False, None),
-        )
-        if recorder is not None:
-            with use_recorder(recorder):
-                return self._run(
-                    workflow, source_data, check_schemas, collect_rejects,
-                    budget, shards,
+        sharded = shards is not None and shards > 1
+        if checkpoint is not None:
+            if sharded:
+                raise ExecutionError(
+                    "checkpoint= cannot be combined with shards > 1"
                 )
-        return self._run(
-            workflow, source_data, check_schemas, collect_rejects, budget,
-            shards,
-        )
+            if collect_rejects:
+                raise ExecutionError(
+                    "checkpoint= cannot be combined with collect_rejects=True"
+                )
+            if checkpoint.fail_after is not None and budget is None:
+                raise ExecutionError(
+                    "fail_after requires a budget (batch-granular mode)"
+                )
+        with ExitStack() as scope:
+            if recorder is not None:
+                scope.enter_context(use_recorder(recorder))
+            # The run's one recorder check: an untraced run takes exactly
+            # the code path it would without telemetry.
+            active: Recorder | None = get_recorder()
+            if active.active:
+                mode = (
+                    "checkpoint" if checkpoint is not None
+                    else "sharded" if sharded
+                    else "streaming" if budget is not None
+                    else "batch"
+                )
+                scope.enter_context(active.span("engine.run", mode=mode))
+            else:
+                active = None
+            if checkpoint is None and sharded:
+                from repro.engine.partition import execute_partitioned
 
-    def _run(
+                return execute_partitioned(
+                    self,
+                    workflow,
+                    source_data,
+                    # Sharding is a streaming mode: without an explicit
+                    # budget, shards run under the default batch size.
+                    budget if budget is not None else ExecutionBudget(),
+                    shards,
+                    check_schemas=check_schemas,
+                    collect_rejects=collect_rejects,
+                )
+            if checkpoint is None and budget is not None:
+                from repro.engine.streaming import execute_streaming
+
+                return execute_streaming(
+                    self,
+                    workflow,
+                    source_data,
+                    budget,
+                    check_schemas=check_schemas,
+                    collect_rejects=collect_rejects,
+                )
+            return self._materialize(
+                workflow, source_data, check_schemas, collect_rejects,
+                budget, checkpoint, active,
+            )
+
+    def _materialize(
         self,
         workflow: ETLWorkflow,
         source_data: Mapping[str, list[Row]],
         check_schemas: bool,
         collect_rejects: bool,
         budget: ExecutionBudget | None,
-        shards: int | None = None,
+        checkpoint: CheckpointStore | None,
+        recorder: Recorder | None,
     ) -> ExecutionResult:
-        budget = budget if budget is not None else self.default_budget
-        if shards is not None and shards > 1:
-            from repro.engine.partition import execute_partitioned
+        """The topological loop: every flow a full list.
 
-            return execute_partitioned(
-                self,
-                workflow,
-                source_data,
-                # Sharding is a streaming mode: without an explicit
-                # budget, shards run under the default batch size.
-                budget if budget is not None else ExecutionBudget(),
-                shards,
-                check_schemas=check_schemas,
-                collect_rejects=collect_rejects,
-            )
-        if budget is not None:
-            from repro.engine.streaming import execute_streaming
-
-            return execute_streaming(
-                self,
-                workflow,
-                source_data,
-                budget,
-                check_schemas=check_schemas,
-                collect_rejects=collect_rejects,
-            )
-
+        With a ``checkpoint`` store, each node is restored when present
+        and saved when done; with a ``budget`` as well, activities run
+        batch-granular (:func:`~repro.engine.checkpoint.
+        run_activity_batched`).  A ``recorder`` receives one
+        ``engine.operator`` span per component.
+        """
         workflow.validate()
         workflow.propagate_schemas()
+        if checkpoint is not None and budget is not None:
+            from repro.engine.checkpoint import run_activity_batched
 
         flows: dict[object, list[Row]] = {}
         stats = ExecutionStats()
@@ -276,6 +265,13 @@ class Executor:
         rejects: dict[str, list[Row]] = {}
 
         for node in workflow.topological_order():
+            if checkpoint is not None:
+                checkpoint.check_fail_before(node.id)
+                if node.id in checkpoint:
+                    flows[node] = checkpoint.restore(node.id)
+                    if isinstance(node, RecordSet) and node.is_target:
+                        targets[node.name] = flows[node]
+                    continue
             if isinstance(node, RecordSet):
                 if node.is_source:
                     try:
@@ -294,11 +290,20 @@ class Executor:
                     flows[node] = flows[provider]
                     if node.is_target:
                         targets[node.name] = flows[node]
-                continue
-            inputs = tuple(flows[p] for p in workflow.providers(node))
-            flows[node] = self._run_activity(node, inputs, stats)
-            if collect_rejects:
-                self._collect_rejects(node, inputs, flows[node], rejects)
+            else:
+                inputs = tuple(flows[p] for p in workflow.providers(node))
+                if checkpoint is not None and budget is not None:
+                    flows[node] = run_activity_batched(
+                        self, node, inputs, stats, checkpoint, budget
+                    )
+                else:
+                    flows[node] = self._run_activity(
+                        node, inputs, stats, recorder
+                    )
+                if collect_rejects:
+                    self._collect_rejects(node, inputs, flows[node], rejects)
+            if checkpoint is not None:
+                checkpoint.save(node.id, flows[node])
         return ExecutionResult(targets=targets, stats=stats, rejects=rejects)
 
     @staticmethod
@@ -346,13 +351,14 @@ class Executor:
         activity: Activity,
         inputs: tuple[list[Row], ...],
         stats: ExecutionStats,
+        recorder: Recorder | None = None,
     ) -> list[Row]:
         """Run one (possibly composite) node by chaining its components."""
         if not isinstance(activity, CompositeActivity):
-            return self._run_component(activity, inputs, stats)
+            return self._run_component(activity, inputs, stats, recorder)
         flow = inputs[0]
         for component in iter_components(activity):
-            flow = self._run_component(component, (flow,), stats)
+            flow = self._run_component(component, (flow,), stats, recorder)
         return flow
 
     def _run_component(
@@ -360,25 +366,23 @@ class Executor:
         component: Activity,
         inputs: tuple[list[Row], ...],
         stats: ExecutionStats,
+        recorder: Recorder | None = None,
     ) -> list[Row]:
-        """Run one non-composite activity (the unit both paths account in)."""
+        """Run one non-composite activity (the unit both paths account in),
+        timed into an ``engine.operator`` span when a recorder is given."""
         operator = self.registry.get(component.template.name)
+        started = time.perf_counter()
         produced = operator(component, inputs, self.context)
-        stats.record(
-            component.id,
-            processed=sum(len(flow) for flow in inputs),
-            produced=len(produced),
-        )
+        rows_in = sum(len(flow) for flow in inputs)
+        if recorder is not None:
+            recorder.record_span(
+                "engine.operator",
+                time.perf_counter() - started,
+                activity=component.id,
+                activity_name=component.name,
+                operator=component.template.name,
+                rows_in=rows_in,
+                rows_out=len(produced),
+            )
+        stats.record(component.id, processed=rows_in, produced=len(produced))
         return produced
-
-    def _streaming_finished(
-        self,
-        metrics: "dict[str, object]",
-        ledger: object,
-        total_seconds: float,
-    ) -> None:
-        """Hook called once per streaming run with per-component metrics.
-
-        The base executor ignores it; :class:`~repro.engine.tracing.
-        TracingExecutor` turns the metrics into a :class:`TraceReport`.
-        """

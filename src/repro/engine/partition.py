@@ -70,6 +70,7 @@ from repro.engine.streaming import (
     ComponentMetrics,
     execute_streaming,
     is_row_wise,
+    record_operator_spans,
 )
 from repro.exceptions import ExecutionError
 from repro.obs import get_recorder
@@ -485,7 +486,6 @@ def execute_partitioned(
         )
 
     columnar = columnar_enabled()
-    started = time.perf_counter()
     jobs = shards if jobs is None else max(1, int(jobs))
     if jobs > 1:
         token = f"engine.shard:{next(_TOKEN_IDS)}"
@@ -577,19 +577,24 @@ def execute_partitioned(
             batches_by_activity[component_id] += count
     peak = max((result["peak"] for result in shard_results), default=0)
 
-    elapsed = time.perf_counter() - started
-    metrics = {
-        component.id: ComponentMetrics(
-            activity=component,
-            rows_in=stats.rows_processed[component.id],
-            rows_out=stats.rows_output[component.id],
-            batches=batches_by_activity[component.id],
+    if recorder.active:
+        # Shards keep no per-component timings or resident peaks, so the
+        # operator spans carry zero seconds and a zero per-activity peak.
+        ledger = ResidentLedger(budget.max_resident_rows)
+        ledger.peak = peak
+        record_operator_spans(
+            recorder,
+            {
+                component.id: ComponentMetrics(
+                    activity=component,
+                    rows_in=stats.rows_processed[component.id],
+                    rows_out=stats.rows_output[component.id],
+                    batches=batches_by_activity[component.id],
+                )
+                for component in ordered_components
+            },
+            ledger,
         )
-        for component in ordered_components
-    }
-    ledger = ResidentLedger(budget.max_resident_rows)
-    ledger.peak = peak
-    executor._streaming_finished(metrics, ledger, elapsed)
     return ExecutionResult(
         targets=targets,
         stats=stats,

@@ -71,7 +71,12 @@ from repro.engine.rows import Row, check_rows_match_schema, freeze_row
 from repro.exceptions import ExecutionError
 from repro.templates.base import ActivityKind
 
-__all__ = ["ComponentMetrics", "execute_streaming", "is_row_wise"]
+__all__ = [
+    "ComponentMetrics",
+    "execute_streaming",
+    "is_row_wise",
+    "record_operator_spans",
+]
 
 BatchIterator = Iterator[Batch]
 
@@ -97,6 +102,30 @@ class ComponentMetrics:
     rows_out: int = 0
     batches: int = 0
     seconds: float = 0.0
+
+
+def record_operator_spans(
+    recorder, metrics: dict[str, ComponentMetrics], ledger: ResidentLedger
+) -> None:
+    """One ``engine.operator`` span per component of a finished batched
+    run, plus the resident-row gauges and the spilled-rows counter."""
+    for component_id, entry in metrics.items():
+        peak = ledger.peak_for(component_id)
+        recorder.record_span(
+            "engine.operator",
+            entry.seconds,
+            activity=component_id,
+            activity_name=entry.activity.name,
+            operator=entry.activity.template.name,
+            rows_in=entry.rows_in,
+            rows_out=entry.rows_out,
+            batches=entry.batches,
+            resident_peak=peak,
+        )
+        recorder.gauge("engine.resident_rows", activity=component_id).set(peak)
+    recorder.gauge("engine.resident_rows.peak").set(ledger.peak)
+    if ledger.spilled_rows:
+        recorder.counter("engine.spilled_rows").add(ledger.spilled_rows)
 
 
 class _FusedPipe:
@@ -176,7 +205,6 @@ class _StreamRun:
         check_schemas: bool,
         collect_rejects: bool,
     ):
-        self.executor = executor
         self.workflow = workflow
         self.source_data = source_data
         self.budget = budget
@@ -237,7 +265,6 @@ class _StreamRun:
     def execute(self) -> ExecutionResult:
         self.workflow.validate()
         self.workflow.propagate_schemas()
-        started = time.perf_counter()
         targets: dict[str, list[Row]] = {}
         supply: dict[Node, list[BatchIterator]] = {}
         try:
@@ -271,8 +298,9 @@ class _StreamRun:
                     buffer.close()
                 except Exception:
                     pass
-        elapsed = time.perf_counter() - started
-        self.executor._streaming_finished(self.metrics, self.ledger, elapsed)
+        recorder = get_recorder()
+        if recorder.active:
+            record_operator_spans(recorder, self.metrics, self.ledger)
         metrics = StreamingMetrics(
             batch_size=self.budget.batch_size,
             max_resident_rows=self.budget.max_resident_rows,

@@ -1,34 +1,35 @@
 """Execution tracing: per-activity wall-clock and row metrics.
 
-Wraps an :class:`~repro.engine.executor.Executor` run with fine-grained
-measurements — rows in/out, per-activity duration, empirical selectivity
-— and renders an operator-level profile.  Useful for validating the cost
-model against real behaviour (which activity actually dominates?) and for
-the kind of night-window capacity planning the paper's introduction
-motivates.
+While a :class:`~repro.obs.Recorder` is active, every
+:meth:`~repro.engine.executor.Executor.run` records fine-grained
+measurements — rows in/out and duration per activity, as
+``engine.operator`` spans under the run's ``engine.run`` span.
+:meth:`TraceReport.from_recorder` reads one run back as an
+operator-level profile with empirical selectivities.  Useful for
+validating the cost model against real behaviour (which activity
+actually dominates?) and for the kind of night-window capacity planning
+the paper's introduction motivates::
 
-Tracing composes with both execution paths.  On the materializing path
-each component is timed around its operator call; on the streaming path
-(run with an :class:`~repro.engine.batches.ExecutionBudget`) the trace
-additionally reports how many batches each component processed and its
+    recorder = Recorder()
+    executor.run(workflow, data, recorder=recorder)
+    print(TraceReport.from_recorder(recorder).render())
+
+Tracing composes with every execution path.  On the materializing path
+each component is timed around its operator call; streaming runs (with
+an :class:`~repro.engine.batches.ExecutionBudget`) and sharded runs
+additionally report how many batches each component processed and its
 peak resident rows, taken from the run's
 :class:`~repro.engine.batches.ResidentLedger`.
 """
 
 from __future__ import annotations
 
-import time
-from collections.abc import Mapping
 from dataclasses import dataclass
 
-from repro.core.activity import Activity
-from repro.core.workflow import ETLWorkflow
-from repro.engine.batches import ExecutionBudget, ResidentLedger
-from repro.engine.executor import ExecutionResult, ExecutionStats, Executor
-from repro.engine.rows import Row
-from repro.obs import get_recorder
+from repro.exceptions import ExecutionError
+from repro.obs import Recorder
 
-__all__ = ["ActivityTrace", "TraceReport", "TracingExecutor"]
+__all__ = ["ActivityTrace", "TraceReport"]
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,49 @@ class TraceReport:
     traces: list[ActivityTrace]
     total_seconds: float
 
+    @classmethod
+    def from_recorder(cls, recorder: Recorder) -> "TraceReport":
+        """The profile of the last engine run ``recorder`` recorded: its
+        ``engine.run`` span and every ``engine.operator`` span beneath it.
+
+        Raises :class:`~repro.exceptions.ExecutionError` when the
+        recorder holds no engine run.
+        """
+        spans = [e for e in recorder.events() if e["type"] == "span"]
+        runs = [span for span in spans if span["name"] == "engine.run"]
+        if not runs:
+            raise ExecutionError("the recorder holds no engine.run span")
+        run_id = runs[-1]["span_id"]
+        parents = {span["span_id"]: span["parent_id"] for span in spans}
+
+        def in_run(span_id: str | None) -> bool:
+            while span_id is not None:
+                if span_id == run_id:
+                    return True
+                span_id = parents.get(span_id)
+            return False
+
+        traces = []
+        for span in spans:
+            if span["name"] != "engine.operator" or not in_run(
+                span["parent_id"]
+            ):
+                continue
+            tags = span["tags"]
+            traces.append(
+                ActivityTrace(
+                    activity_id=tags["activity"],
+                    name=tags["activity_name"],
+                    template=tags["operator"],
+                    rows_in=tags["rows_in"],
+                    rows_out=tags["rows_out"],
+                    seconds=span["seconds"],
+                    batches=tags.get("batches", 1),
+                    peak_resident_rows=tags.get("resident_peak"),
+                )
+            )
+        return cls(traces=traces, total_seconds=runs[-1]["seconds"])
+
     def by_cost(self) -> list[ActivityTrace]:
         return sorted(self.traces, key=lambda t: t.seconds, reverse=True)
 
@@ -94,122 +138,3 @@ class TraceReport:
                 f"{1000 * trace.seconds:>9.2f}{share:>7.1f}"
             )
         return "\n".join(lines)
-
-
-class TracingExecutor(Executor):
-    """An executor that records a per-activity profile.
-
-    After :meth:`run`, the profile of the last run is available as
-    :attr:`last_trace`.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.last_trace: TraceReport | None = None
-        self._current: list[ActivityTrace] | None = None
-
-    def _run(
-        self,
-        workflow: ETLWorkflow,
-        source_data: Mapping[str, list[Row]],
-        check_schemas: bool,
-        collect_rejects: bool,
-        budget: ExecutionBudget | None,
-        shards: int | None = None,
-    ) -> ExecutionResult:
-        # Overrides the body hook, not run() itself: the base run()
-        # resolves the shared keyword shape (and installs a recorder=)
-        # before this executes, so tracing inherits the facade for free.
-        self._current = []
-        started = time.perf_counter()
-        sharded = shards is not None and shards > 1
-        try:
-            with get_recorder().span(
-                "engine.run",
-                mode=(
-                    "sharded"
-                    if sharded
-                    else "streaming" if budget is not None else "batch"
-                ),
-            ):
-                result = super()._run(
-                    workflow,
-                    source_data,
-                    check_schemas,
-                    collect_rejects,
-                    budget,
-                    shards,
-                )
-        finally:
-            elapsed = time.perf_counter() - started
-            self.last_trace = TraceReport(
-                traces=self._current or [], total_seconds=elapsed
-            )
-            self._current = None
-        return result
-
-    def _run_component(
-        self,
-        component: Activity,
-        inputs: tuple[list[Row], ...],
-        stats: ExecutionStats,
-    ) -> list[Row]:
-        started = time.perf_counter()
-        produced = super()._run_component(component, inputs, stats)
-        elapsed = time.perf_counter() - started
-        get_recorder().record_span(
-            "engine.operator",
-            elapsed,
-            activity=component.id,
-            operator=component.template.name,
-            rows_in=sum(len(flow) for flow in inputs),
-            rows_out=len(produced),
-        )
-        if self._current is not None:
-            self._current.append(
-                ActivityTrace(
-                    activity_id=component.id,
-                    name=component.name,
-                    template=component.template.name,
-                    rows_in=sum(len(flow) for flow in inputs),
-                    rows_out=len(produced),
-                    seconds=elapsed,
-                )
-            )
-        return produced
-
-    def _streaming_finished(
-        self, metrics, ledger: ResidentLedger, total_seconds: float
-    ) -> None:
-        """Turn a streaming run's per-component metrics into traces."""
-        if self._current is None:
-            return
-        recorder = get_recorder()
-        for component_id, entry in metrics.items():
-            recorder.record_span(
-                "engine.operator",
-                entry.seconds,
-                activity=component_id,
-                operator=entry.activity.template.name,
-                rows_in=entry.rows_in,
-                rows_out=entry.rows_out,
-                batches=entry.batches,
-            )
-            recorder.gauge(
-                "engine.resident_rows", activity=component_id
-            ).set(ledger.peak_for(component_id))
-            self._current.append(
-                ActivityTrace(
-                    activity_id=component_id,
-                    name=entry.activity.name,
-                    template=entry.activity.template.name,
-                    rows_in=entry.rows_in,
-                    rows_out=entry.rows_out,
-                    seconds=entry.seconds,
-                    batches=entry.batches,
-                    peak_resident_rows=ledger.peak_for(component_id),
-                )
-            )
-        recorder.gauge("engine.resident_rows.peak").set(ledger.peak)
-        if ledger.spilled_rows:
-            recorder.counter("engine.spilled_rows").add(ledger.spilled_rows)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from repro.core.search import (
     HSConfig,
     OptimizationResult,
+    SearchBudget,
     exhaustive_search,
     greedy_search,
     heuristic_search,
@@ -95,8 +96,10 @@ def run_algorithm(
     if algorithm == "ES":
         result = exhaustive_search(
             workload.workflow,
-            max_states=config.es_max_states.get(workload.category),
-            max_seconds=config.es_max_seconds,
+            budget=SearchBudget(
+                max_states=config.es_max_states.get(workload.category),
+                max_seconds=config.es_max_seconds,
+            ),
         )
     elif algorithm == "HS":
         result = heuristic_search(workload.workflow, config=config.hs_config)

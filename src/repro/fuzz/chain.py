@@ -283,11 +283,10 @@ def fuzz_seed(
     oracle = ConformanceOracle(
         workload.workflow,
         data,
-        executor=Executor(
-            context=workload.context, budget=config.execution_budget
-        ),
+        executor=Executor(context=workload.context),
         model=model,
         config=config.oracle,
+        budget=config.execution_budget,
     )
     rng = random.Random(0x5EED ^ (seed * 1_000_003) ^ config.data_seed)
 

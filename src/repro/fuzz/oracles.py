@@ -32,6 +32,7 @@ from repro.core.cost.model import CostModel, ProcessedRowsCostModel
 from repro.core.equivalence import symbolically_equivalent
 from repro.core.recordset import RecordSet
 from repro.core.workflow import ETLWorkflow
+from repro.engine.batches import ExecutionBudget
 from repro.engine.calibrate import apply_selectivities
 from repro.engine.executor import ExecutionStats, Executor, iter_components
 from repro.engine.rows import Row, as_multiset
@@ -139,7 +140,8 @@ class ConformanceOracle:
     """All three checks bound to one baseline workflow + source data.
 
     The baseline is executed once at construction; every subsequent
-    :meth:`check` executes only the candidate.
+    :meth:`check` executes only the candidate.  With a ``budget``, both
+    run on the streaming engine under it.
     """
 
     def __init__(
@@ -149,16 +151,18 @@ class ConformanceOracle:
         executor: Executor | None = None,
         model: CostModel | None = None,
         config: OracleConfig | None = None,
+        budget: ExecutionBudget | None = None,
     ):
         self.baseline = baseline
         self.source_data = source_data
         self.executor = executor if executor is not None else Executor()
+        self.budget = budget
         self.model = model if model is not None else ProcessedRowsCostModel()
         self.config = config if config is not None else OracleConfig()
         self._source_sizes = {
             name: len(rows) for name, rows in source_data.items()
         }
-        baseline_run = self.executor.run(baseline, source_data)
+        baseline_run = self.executor.run(baseline, source_data, budget=budget)
         self._baseline_bags: dict[str, Counter] = {
             name: as_multiset(rows)
             for name, rows in baseline_run.targets.items()
@@ -173,7 +177,9 @@ class ConformanceOracle:
             violations.extend(self._check_symbolic(candidate))
         if self.config.check_empirical or self.config.check_cost:
             try:
-                run = self.executor.run(candidate, self.source_data)
+                run = self.executor.run(
+                    candidate, self.source_data, budget=self.budget
+                )
             except Exception as exc:  # noqa: BLE001 - any crash is a finding
                 violations.append(
                     Violation("crash", f"execution failed: {exc!r}")

@@ -13,9 +13,9 @@ everything the answer depends on —
 deliberately **excluded** from the key: the engine's jobs=N runs are
 byte-identical to serial, so a result computed at any worker count
 answers a request at any other.  Stopping and pruning knobs
-(``max_states``/``max_seconds``/``beam_width``/``prune_dominated``/
-``bound``) are all **included**: they change which state the search
-returns, so each combination memoizes separately.
+(``max_states``/``max_seconds``/``beam_width``/``prune_dominated``) are
+all **included**: they change which state the search returns, so each
+combination memoizes separately.
 
 The memo is bounded (LRU) and thread-safe — the daemon's worker threads
 populate it while the asyncio thread probes it on admission.
@@ -57,7 +57,6 @@ def memo_key(
             f"seconds={budget.max_seconds}",
             f"beam={budget.beam_width}",
             f"dominated={budget.prune_dominated}",
-            f"bound={budget.bound}",
         )
     )
 

@@ -36,10 +36,12 @@ requests over one connection:
 
 Errors are responses with ``"ok": false`` and an ``"error"`` string plus
 a machine-readable ``"code"`` (``bad-request``, ``queue-full``,
-``tenant-limit``, ``search-error``).  A line that does not parse as a
-JSON object is answered with ``bad-request`` and the connection stays
-usable — framing is per line, so one bad line cannot desynchronize the
-stream.
+``tenant-limit``, ``search-error``, ``too-large``).  A line that does not
+parse as a JSON object is answered with ``bad-request`` and the
+connection stays usable — framing is per line, so one bad line cannot
+desynchronize the stream.  A line longer than the daemon's request limit
+is answered with ``too-large`` and the connection is closed, since the
+rest of the stream is no longer line-aligned.
 """
 
 from __future__ import annotations
@@ -103,7 +105,6 @@ _BUDGET_FIELDS = (
     "jobs",
     "beam_width",
     "prune_dominated",
-    "bound",
 )
 
 

@@ -87,6 +87,11 @@ from repro.serve.queue import AdmissionError, Job, JobQueue, TenantPolicy
 
 __all__ = ["ServeConfig", "OptimizerServer", "BackgroundServer"]
 
+#: Longest request line either listener accepts (asyncio's default
+#: ``StreamReader`` limit is 64 KiB — a workflow of ~270 activities).  A
+#: longer line is answered ``too-large`` and its connection closed.
+MAX_REQUEST_BYTES = 4 * 1024 * 1024
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -194,12 +199,17 @@ class OptimizerServer:
             self._threads.append(thread)
         if self.config.unix_socket:
             self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.config.unix_socket
+                self._handle_connection,
+                path=self.config.unix_socket,
+                limit=MAX_REQUEST_BYTES,
             )
             self.address = self.config.unix_socket
         else:
             self._server = await asyncio.start_server(
-                self._handle_connection, self.config.host, self.config.port
+                self._handle_connection,
+                self.config.host,
+                self.config.port,
+                limit=MAX_REQUEST_BYTES,
             )
             sock = self._server.sockets[0]
             self.address = sock.getsockname()[:2]
@@ -287,7 +297,25 @@ class OptimizerServer:
         )
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Over MAX_REQUEST_BYTES.  The rest of the stream is
+                    # no longer line-aligned, so answer and close.
+                    self.recorder.counter(
+                        "serve.requests", outcome="too_large"
+                    ).add()
+                    conn.out.put_nowait(
+                        {
+                            "ok": False,
+                            "code": "too-large",
+                            "error": (
+                                f"request line exceeds {MAX_REQUEST_BYTES} "
+                                f"bytes"
+                            ),
+                        }
+                    )
+                    break
                 if not line:
                     break
                 if not line.strip():

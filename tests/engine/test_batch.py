@@ -3,11 +3,8 @@
 Covers the API-surface contract of the columnar redesign: dual row/column
 storage with lazy conversion both ways, the ``iter_batches`` / ``rebatch``
 helpers that accept either representation and always yield ``Batch``,
-the pickle-framed columnar spill format round-trip, and the one-warning
-deprecation shims for the old row-list helper spellings.
+and the pickle-framed columnar spill format round-trip.
 """
-
-import warnings
 
 import pytest
 
@@ -113,25 +110,6 @@ class TestChunkingHelpers:
             chunks = list(rebatch(source, 3))
             assert all(isinstance(chunk, Batch) for chunk in chunks)
             assert [chunk.num_rows for chunk in chunks] == [3, 2]
-
-    def test_row_helper_shims_warn_once(self):
-        import repro.engine.batches as batches_module
-
-        batches_module._warned_row_helpers.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            helper = batches_module.iter_row_batches
-            chunks = list(helper(ROWS, 2))
-        assert [len(chunk) for chunk in chunks] == [2, 2, 1]
-        assert all(isinstance(chunk, list) for chunk in chunks)
-        shim_warnings = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(shim_warnings) == 1
-        with warnings.catch_warnings(record=True) as again:
-            warnings.simplefilter("always")
-            _ = batches_module.iter_row_batches
-        assert not again  # one warning per process, not per import
 
     def test_unknown_attribute_still_raises(self):
         import repro.engine.batches as batches_module

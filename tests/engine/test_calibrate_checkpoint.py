@@ -6,7 +6,6 @@ from repro import optimize
 from repro.core.signature import state_signature
 from repro.core.transitions import Merge
 from repro.engine import (
-    CheckpointingExecutor,
     CheckpointStore,
     Executor,
     SimulatedFailure,
@@ -91,12 +90,14 @@ class TestApplySelectivities:
 
 class TestCheckpointing:
     def _executor(self, fig1):
-        return CheckpointingExecutor(context=fig1.context)
+        return Executor(context=fig1.context)
 
     def test_clean_run_matches_plain_executor(self, fig1):
         data = fig1.make_data(seed=3)
         plain = Executor(context=fig1.context).run(fig1.workflow, data)
-        checkpointed = self._executor(fig1).run(fig1.workflow, data)
+        checkpointed = self._executor(fig1).run(
+            fig1.workflow, data, checkpoint=CheckpointStore()
+        )
         assert as_multiset(plain.targets["DW"]) == as_multiset(
             checkpointed.targets["DW"]
         )
@@ -105,7 +106,10 @@ class TestCheckpointing:
         data = fig1.make_data(seed=3)
         executor = self._executor(fig1)
         with pytest.raises(SimulatedFailure):
-            executor.run(fig1.workflow, data, fail_before="7")
+            executor.run(
+                fig1.workflow, data,
+                checkpoint=CheckpointStore(fail_before="7"),
+            )
 
     @pytest.mark.parametrize("fail_at", ["3", "4", "6", "7", "8", "9"])
     def test_resume_completes_identically(self, fig1, fail_at):
@@ -113,10 +117,11 @@ class TestCheckpointing:
         executor = self._executor(fig1)
         reference = executor.run(fig1.workflow, data)
 
-        store = CheckpointStore()
+        store = CheckpointStore(fail_before=fail_at)
         with pytest.raises(SimulatedFailure):
-            executor.run(fig1.workflow, data, checkpoints=store, fail_before=fail_at)
-        resumed = executor.run(fig1.workflow, data, checkpoints=store)
+            executor.run(fig1.workflow, data, checkpoint=store)
+        # The injected failure fired once; the same store now resumes.
+        resumed = executor.run(fig1.workflow, data, checkpoint=store)
         assert as_multiset(resumed.targets["DW"]) == as_multiset(
             reference.targets["DW"]
         )
@@ -124,12 +129,12 @@ class TestCheckpointing:
     def test_resume_skips_completed_work(self, fig1):
         data = fig1.make_data(seed=3)
         executor = self._executor(fig1)
-        store = CheckpointStore()
+        store = CheckpointStore(fail_before="7")
         with pytest.raises(SimulatedFailure):
-            executor.run(fig1.workflow, data, checkpoints=store, fail_before="7")
+            executor.run(fig1.workflow, data, checkpoint=store)
         # Branch activities completed before the failure...
         assert {"1", "2", "3", "4", "5", "6"} <= store.completed_nodes
-        resumed = executor.run(fig1.workflow, data, checkpoints=store)
+        resumed = executor.run(fig1.workflow, data, checkpoint=store)
         # ...so the resumed run only executed the union and the selection.
         assert set(resumed.stats.rows_processed) == {"7", "8"}
 
@@ -137,7 +142,7 @@ class TestCheckpointing:
         data = fig1.make_data(seed=3)
         executor = self._executor(fig1)
         store = CheckpointStore()
-        executor.run(fig1.workflow, data, checkpoints=store)
+        executor.run(fig1.workflow, data, checkpoint=store)
         assert store.completed_nodes
         store.clear()
         assert not store.completed_nodes
@@ -156,15 +161,18 @@ class TestBatchGranularCheckpointing:
         from repro.exceptions import ExecutionError
 
         data = fig1.make_data(seed=3)
-        executor = CheckpointingExecutor(context=fig1.context)
+        executor = Executor(context=fig1.context)
         with pytest.raises(ExecutionError):
-            executor.run(fig1.workflow, data, fail_after=("7", 1))
+            executor.run(
+                fig1.workflow, data,
+                checkpoint=CheckpointStore(fail_after=("7", 1)),
+            )
 
     def test_fail_after_every_activity_then_resume(self, fig1):
         from repro.core.activity import Activity
 
         data = fig1.make_data(seed=3)
-        executor = CheckpointingExecutor(context=fig1.context)
+        executor = Executor(context=fig1.context)
         reference = executor.run(fig1.workflow, data)
         activities = [
             n for n in fig1.workflow.topological_order()
@@ -173,11 +181,10 @@ class TestBatchGranularCheckpointing:
         tested = 0
         for node in activities:
             for batches in (1, 2):
-                store = CheckpointStore()
+                store = CheckpointStore(fail_after=(node.id, batches))
                 try:
                     executor.run(
-                        fig1.workflow, data, checkpoints=store,
-                        fail_after=(node.id, batches),
+                        fig1.workflow, data, checkpoint=store,
                         budget=self._budget(),
                     )
                     continue  # node emitted fewer batches: no injection
@@ -185,7 +192,7 @@ class TestBatchGranularCheckpointing:
                     assert failure.node_id == node.id
                     assert node.id in store.partials
                 resumed = executor.run(
-                    fig1.workflow, data, checkpoints=store,
+                    fig1.workflow, data, checkpoint=store,
                     budget=self._budget(),
                 )
                 assert resumed.targets == reference.targets
@@ -197,20 +204,20 @@ class TestBatchGranularCheckpointing:
         """Fig 1's '3' is a row-wise filter: after failing 2 batches in, the
         resume must start from the consumed offset, not row 0."""
         data = fig1.make_data(seed=3)
-        executor = CheckpointingExecutor(context=fig1.context)
+        executor = Executor(context=fig1.context)
         full = executor.run(fig1.workflow, data)
         total = full.stats.rows_processed["3"]
 
-        store = CheckpointStore()
+        store = CheckpointStore(fail_after=("3", 2))
         with pytest.raises(SimulatedFailure):
             executor.run(
-                fig1.workflow, data, checkpoints=store,
-                fail_after=("3", 2), budget=self._budget(batch_size=10),
+                fig1.workflow, data, checkpoint=store,
+                budget=self._budget(batch_size=10),
             )
         partial = store.partials["3"]
         assert partial.consumed_rows == 20
         resumed = executor.run(
-            fig1.workflow, data, checkpoints=store, budget=self._budget(10)
+            fig1.workflow, data, checkpoint=store, budget=self._budget(10)
         )
         assert resumed.stats.rows_processed["3"] == total - 20
         assert resumed.targets == full.targets

@@ -1,23 +1,19 @@
-"""The regularized executor ``run()`` facade and the public surface.
+"""The executor ``run()`` facade and the public surface.
 
-All three executors accept the same ``(workflow, data, *, budget=...,
-recorder=..., ...)`` keyword shape; the historical positional forms keep
-working but warn once per method, and clashing positional + keyword
-spellings raise like a normal Python signature would.
+One :class:`Executor` takes every execution option by keyword —
+``budget=``, ``recorder=``, ``shards=`` and ``checkpoint=`` — and rejects
+positional options and the option combinations it cannot honour with a
+typed error.
 """
-
-import warnings
 
 import pytest
 
-import repro.engine.executor as executor_module
 from repro.engine import (
-    CheckpointingExecutor,
     CheckpointStore,
     ExecutionBudget,
     Executor,
-    TracingExecutor,
 )
+from repro.exceptions import ExecutionError
 from repro.obs.telemetry import Recorder
 from repro.workloads import generate_workload
 
@@ -28,24 +24,26 @@ def tiny():
     return workload, workload.make_data(7, n=20)
 
 
-def _executor(workload, cls=Executor):
-    return cls(context=workload.context)
+def _executor(workload):
+    return Executor(context=workload.context)
 
 
 class TestKeywordShape:
     def test_all_executors_share_the_keyword_shape(self, tiny):
         workload, data = tiny
         budget = ExecutionBudget(batch_size=4)
-        for cls in (Executor, TracingExecutor, CheckpointingExecutor):
-            result = _executor(workload, cls).run(
-                workload.workflow, data, check_schemas=True, budget=budget
+        for options in ({}, {"recorder": Recorder()},
+                        {"checkpoint": CheckpointStore()}):
+            result = _executor(workload).run(
+                workload.workflow, data, check_schemas=True, budget=budget,
+                **options,
             )
             assert result.targets
 
     def test_recorder_keyword_routes_telemetry(self, tiny):
         workload, data = tiny
         recorder = Recorder()
-        _executor(workload, TracingExecutor).run(
+        _executor(workload).run(
             workload.workflow,
             data,
             budget=ExecutionBudget(batch_size=8),
@@ -57,79 +55,60 @@ class TestKeywordShape:
     def test_recorder_keyword_on_checkpointing_run(self, tiny):
         workload, data = tiny
         recorder = Recorder()
-        result = _executor(workload, CheckpointingExecutor).run(
+        result = _executor(workload).run(
             workload.workflow,
             data,
-            checkpoints=CheckpointStore(),
+            checkpoint=CheckpointStore(),
             recorder=recorder,
         )
         assert result.targets
+        names = {event.get("name") for event in recorder.events()}
+        assert {"engine.run", "engine.operator"} <= names
 
 
 class TestLegacyPositionalForms:
-    def test_positional_run_warns_once_and_still_works(self, tiny):
-        workload, data = tiny
-        executor = _executor(workload)
-        executor_module._warned_positional.discard("Executor.run")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = executor.run(workload.workflow, data, True, True)
-            repeat = executor.run(workload.workflow, data, True, True)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "check_schemas=" in str(deprecations[0].message)
-        modern = executor.run(
-            workload.workflow, data, check_schemas=True, collect_rejects=True
-        )
-        assert legacy.targets == repeat.targets == modern.targets
-        assert legacy.rejects == modern.rejects
-
-    def test_positional_budget_still_streams(self, tiny):
-        workload, data = tiny
-        executor = _executor(workload)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = executor.run(
-                workload.workflow,
-                data,
-                True,
-                False,
-                ExecutionBudget(batch_size=4),
-            )
-        assert result.streaming is not None
-        assert result.streaming.batch_size == 4
-
-    def test_checkpointing_legacy_positional_order(self, tiny):
-        workload, data = tiny
-        executor = _executor(workload, CheckpointingExecutor)
-        store = CheckpointStore()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            # Historical order: check_schemas, checkpoints, ...
-            result = executor.run(workload.workflow, data, True, store)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert store.completed_nodes
-        assert result.targets
-
     def test_positional_and_keyword_clash_raises(self, tiny):
         workload, data = tiny
-        executor = _executor(workload)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="multiple values"):
-                executor.run(
-                    workload.workflow, data, True, check_schemas=False
-                )
+        with pytest.raises(TypeError, match="positional"):
+            _executor(workload).run(
+                workload.workflow, data, True, check_schemas=False
+            )
 
     def test_too_many_positionals_raise(self, tiny):
         workload, data = tiny
-        executor = _executor(workload)
         with pytest.raises(TypeError, match="positional"):
-            executor.run(workload.workflow, data, True, False, None, "extra")
+            _executor(workload).run(
+                workload.workflow, data, True, False, None, "extra"
+            )
+
+
+class TestCheckpointCombinations:
+    """Checkpointing runs the materializing loop; the options it cannot
+    honour fail loudly instead of being ignored."""
+
+    def test_checkpoint_with_shards_raises(self, tiny):
+        workload, data = tiny
+        store = CheckpointStore()
+        with pytest.raises(ExecutionError, match="shards"):
+            _executor(workload).run(
+                workload.workflow, data, checkpoint=store, shards=2
+            )
+        assert not store.completed_nodes
+
+    def test_checkpoint_with_collect_rejects_raises(self, tiny):
+        workload, data = tiny
+        store = CheckpointStore()
+        with pytest.raises(ExecutionError, match="collect_rejects"):
+            _executor(workload).run(
+                workload.workflow, data, checkpoint=store,
+                collect_rejects=True,
+            )
+        assert not store.completed_nodes
+
+    def test_no_budget_keyword_on_the_constructor(self, tiny):
+        workload, _ = tiny
+        with pytest.raises(TypeError):
+            Executor(context=workload.context, budget=ExecutionBudget())
 
 
 class TestPublicSurface:
@@ -148,8 +127,8 @@ class TestPublicSurface:
             "Executor",
             "ExecutionResult",
             "ExecutionStats",
-            "TracingExecutor",
-            "CheckpointingExecutor",
+            "CheckpointStore",
+            "TraceReport",
             "iter_batches",
             "rebatch",
         ):

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import (
-    CheckpointingExecutor,
     CheckpointStore,
     ExecutionBudget,
     Executor,
@@ -29,7 +28,6 @@ from repro.engine import (
     shard_bounds,
 )
 from repro.engine.partition import _plan_or_reason
-from repro.engine.tracing import TracingExecutor
 from repro.exceptions import ExecutionError
 from repro.obs import Recorder, use_recorder
 from repro.workloads.scenarios import (
@@ -266,13 +264,11 @@ class TestCheckpointInteraction:
         # and resumed from checkpoints produces the same target multiset
         # a sharded run does.
         scenario, data = _two_branch(n=100)
-        executor = CheckpointingExecutor(context=scenario.context)
-        store = CheckpointStore()
+        executor = Executor(context=scenario.context)
+        store = CheckpointStore(fail_before="7")
         with pytest.raises(SimulatedFailure):
-            executor.run(
-                scenario.workflow, data, checkpoints=store, fail_before="7"
-            )
-        resumed = executor.run(scenario.workflow, data, checkpoints=store)
+            executor.run(scenario.workflow, data, checkpoint=store)
+        resumed = executor.run(scenario.workflow, data, checkpoint=store)
         sharded = Executor(context=scenario.context).run(
             scenario.workflow,
             data,
@@ -290,7 +286,7 @@ class TestTelemetryDeterminism:
 
         def run():
             recorder = Recorder()
-            executor = TracingExecutor(context=scenario.context)
+            executor = Executor(context=scenario.context)
             result = executor.run(
                 scenario.workflow,
                 data,

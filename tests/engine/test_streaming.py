@@ -19,7 +19,8 @@ from repro.engine import (
     streaming_matches_materializing,
 )
 from repro.engine.batches import iter_batches, rebatch
-from repro.engine.tracing import TracingExecutor
+from repro.engine.tracing import TraceReport
+from repro.obs import Recorder
 from repro.exceptions import ExecutionError
 from repro.workloads import generate_workload
 from repro.workloads.scenarios import (
@@ -160,22 +161,13 @@ class TestFig1Streaming:
 
 
 class TestDefaultBudget:
-    def test_executor_level_budget_streams_every_run(self):
-        workload = generate_workload("tiny", seed=2)
-        data = workload.make_data(2)
-        executor = Executor(
-            context=workload.context, budget=ExecutionBudget(batch_size=8)
-        )
-        result = executor.run(workload.workflow, data)
-        assert result.streaming is not None
-        assert result.streaming.batch_size == 8
-
     def test_per_run_budget_overrides_default(self):
+        # The executor holds no budget: a run streams exactly when it
+        # passes one, and materializes otherwise.
         workload = generate_workload("tiny", seed=2)
         data = workload.make_data(2)
-        executor = Executor(
-            context=workload.context, budget=ExecutionBudget(batch_size=8)
-        )
+        executor = Executor(context=workload.context)
+        assert executor.run(workload.workflow, data).streaming is None
         result = executor.run(
             workload.workflow, data, budget=ExecutionBudget(batch_size=3)
         )
@@ -378,11 +370,12 @@ class TestTracingStreams:
     def test_trace_reports_batches_and_peaks(self):
         workload = generate_workload("small", seed=4)
         data = workload.make_data(4)
-        executor = TracingExecutor(context=workload.context)
-        executor.run(
-            workload.workflow, data, budget=ExecutionBudget(batch_size=16)
+        recorder = Recorder()
+        Executor(context=workload.context).run(
+            workload.workflow, data, budget=ExecutionBudget(batch_size=16),
+            recorder=recorder,
         )
-        trace = executor.last_trace
+        trace = TraceReport.from_recorder(recorder)
         assert trace is not None and trace.traces
         busy = [t for t in trace.traces if t.rows_in > 16]
         assert busy and all(t.batches > 1 for t in busy)
@@ -393,9 +386,11 @@ class TestTracingStreams:
     def test_materializing_trace_unchanged(self):
         workload = generate_workload("tiny", seed=4)
         data = workload.make_data(4)
-        executor = TracingExecutor(context=workload.context)
-        executor.run(workload.workflow, data)
-        trace = executor.last_trace
+        recorder = Recorder()
+        Executor(context=workload.context).run(
+            workload.workflow, data, recorder=recorder
+        )
+        trace = TraceReport.from_recorder(recorder)
         assert all(t.batches == 1 for t in trace.traces)
         assert all(t.peak_resident_rows is None for t in trace.traces)
 

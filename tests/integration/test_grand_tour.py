@@ -10,8 +10,8 @@ from repro import optimize
 from repro.core.lint import lint_workflow
 from repro.core.signature import state_signature
 from repro.engine import (
-    CheckpointingExecutor,
     CheckpointStore,
+    Executor,
     as_multiset,
     calibrate_workflow,
     empirically_equivalent,
@@ -24,7 +24,7 @@ from repro.workloads import generate_workload
 def test_grand_tour():
     workload = generate_workload("small", seed=11)
     data = workload.make_data(1, n=120)
-    executor = CheckpointingExecutor(context=workload.context)
+    executor = Executor(context=workload.context)
 
     # 1. The generated design honours the naming discipline.
     errors = [
@@ -51,15 +51,15 @@ def test_grand_tour():
     # 5. Checkpointed execution of the reloaded design matches a plain run,
     #    including across a mid-run failure.
     reference = executor.run(reloaded, data)
-    store = CheckpointStore()
     fail_at = reloaded.topological_order()[len(reloaded) // 2].id
+    store = CheckpointStore(fail_before=fail_at)
     from repro.engine import SimulatedFailure
 
     try:
-        executor.run(reloaded, data, checkpoints=store, fail_before=fail_at)
+        executor.run(reloaded, data, checkpoint=store)
     except SimulatedFailure:
         pass
-    resumed = executor.run(reloaded, data, checkpoints=store)
+    resumed = executor.run(reloaded, data, checkpoint=store)
     for name, rows in reference.targets.items():
         assert as_multiset(resumed.targets[name]) == as_multiset(rows)
 

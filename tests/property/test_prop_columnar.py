@@ -79,38 +79,30 @@ def test_columnar_path_equals_row_path(case):
 def test_columnar_checkpoint_resume_matches(seed, batch_size):
     # Batched checkpointing rides the fused kernels too: a resumed run
     # must equal the clean run whichever path computed the prefix.
-    from repro.engine import (
-        CheckpointingExecutor,
-        CheckpointStore,
-        SimulatedFailure,
-    )
+    from repro.engine import CheckpointStore, Executor, SimulatedFailure
 
     workload = generate_workload("tiny", seed=seed)
     data = workload.make_data(seed, n=24)
-    executor = CheckpointingExecutor(context=workload.context)
+    executor = Executor(context=workload.context)
     budget = ExecutionBudget(batch_size=batch_size)
-    reference = executor.run(workload.workflow, data, budget=budget)
+    reference = executor.run(
+        workload.workflow, data, budget=budget, checkpoint=CheckpointStore()
+    )
 
     nodes = workload.workflow.topological_order()
     fail_at = nodes[seed % len(nodes)].id
-    store = CheckpointStore()
+    store = CheckpointStore(fail_before=fail_at)
     previous = set_columnar(False)
     try:
         # Fail mid-run on the ROW path...
-        executor.run(
-            workload.workflow,
-            data,
-            checkpoints=store,
-            fail_before=fail_at,
-            budget=budget,
-        )
+        executor.run(workload.workflow, data, checkpoint=store, budget=budget)
     except SimulatedFailure:
         pass
     finally:
         set_columnar(previous)
     # ...resume on the COLUMNAR path: mixed-path recovery must agree.
     resumed = executor.run(
-        workload.workflow, data, checkpoints=store, budget=budget
+        workload.workflow, data, checkpoint=store, budget=budget
     )
     for name, rows in reference.targets.items():
         assert as_multiset(resumed.targets[name]) == as_multiset(rows)

@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import (
-    CheckpointingExecutor,
     CheckpointStore,
+    Executor,
     SimulatedFailure,
     as_multiset,
     calibrate_workflow,
@@ -39,22 +39,20 @@ def workload_case(draw):
 def test_resume_from_any_failure_point(case):
     workload, fail_choice = case
     data = workload.make_data(1, n=30)
-    executor = CheckpointingExecutor(context=workload.context)
+    executor = Executor(context=workload.context)
     reference = executor.run(workload.workflow, data)
 
     nodes = workload.workflow.topological_order()
     fail_at = nodes[fail_choice % len(nodes)].id
 
-    store = CheckpointStore()
+    store = CheckpointStore(fail_before=fail_at)
     try:
-        executor.run(
-            workload.workflow, data, checkpoints=store, fail_before=fail_at
-        )
+        executor.run(workload.workflow, data, checkpoint=store)
         # Failing before the first node executes nothing; resume from an
         # empty store is just a clean run.
     except SimulatedFailure:
         pass
-    resumed = executor.run(workload.workflow, data, checkpoints=store)
+    resumed = executor.run(workload.workflow, data, checkpoint=store)
     for name, rows in reference.targets.items():
         assert as_multiset(resumed.targets[name]) == as_multiset(rows)
 
@@ -64,19 +62,17 @@ def test_resume_from_any_failure_point(case):
 def test_resume_never_recomputes_checkpointed_nodes(case):
     workload, fail_choice = case
     data = workload.make_data(1, n=30)
-    executor = CheckpointingExecutor(context=workload.context)
+    executor = Executor(context=workload.context)
     nodes = workload.workflow.topological_order()
     fail_at = nodes[fail_choice % len(nodes)].id
 
-    store = CheckpointStore()
+    store = CheckpointStore(fail_before=fail_at)
     try:
-        executor.run(
-            workload.workflow, data, checkpoints=store, fail_before=fail_at
-        )
+        executor.run(workload.workflow, data, checkpoint=store)
     except SimulatedFailure:
         pass
     completed_before_resume = set(store.completed_nodes)
-    resumed = executor.run(workload.workflow, data, checkpoints=store)
+    resumed = executor.run(workload.workflow, data, checkpoint=store)
     recomputed = set(resumed.stats.rows_processed)
     assert not (recomputed & completed_before_resume)
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core.equivalence import symbolically_equivalent
 from repro.core.search import (
+    SearchBudget,
     exhaustive_search,
     greedy_search,
     heuristic_search,
@@ -70,8 +71,12 @@ def test_hs_at_least_matches_greedy(seed):
 @_SETTINGS
 def test_budgeted_es_never_beats_full_es(seed):
     workload = generate_workload("tiny", seed=seed)
-    full = exhaustive_search(workload.workflow, max_states=4000)
-    budgeted = exhaustive_search(workload.workflow, max_states=10)
+    full = exhaustive_search(
+        workload.workflow, budget=SearchBudget(max_states=4000)
+    )
+    budgeted = exhaustive_search(
+        workload.workflow, budget=SearchBudget(max_states=10)
+    )
     assert full.best_cost <= budgeted.best_cost + 1e-9
 
 

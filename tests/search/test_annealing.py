@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.search import annealing_search, heuristic_search
+from repro.core.search import (
+    SearchBudget,
+    annealing_search,
+    heuristic_search,
+)
 from repro.engine import Executor, empirically_equivalent
 from repro.workloads import generate_workload
 
@@ -45,7 +49,9 @@ class TestAnnealing:
         assert report.equivalent
 
     def test_time_budget(self, fig1):
-        result = annealing_search(fig1.workflow, seed=1, max_seconds=0.0)
+        result = annealing_search(
+            fig1.workflow, seed=1, budget=SearchBudget(max_seconds=0.0)
+        )
         assert not result.completed
         assert result.best_cost <= result.initial_cost
 

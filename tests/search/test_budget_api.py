@@ -1,4 +1,4 @@
-"""The unified SearchBudget surface and the legacy-kwarg deprecation shims."""
+"""The unified SearchBudget surface: the only way to pass a budget."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import warnings
 import pytest
 
 from repro import HSConfig, ReproError, SearchBudget, optimize
-from repro.core.search.budget import coalesce_budget
 from repro.workloads import fig1_workflow
 
 
@@ -30,15 +29,6 @@ class TestSearchBudget:
         assert SearchBudget(jobs=3).resolved_jobs() == 3
         assert SearchBudget(jobs=0).resolved_jobs() == (os.cpu_count() or 1)
         assert SearchBudget(jobs=-1).resolved_jobs() == (os.cpu_count() or 1)
-
-    def test_coalesce_rejects_both_spellings(self):
-        with pytest.raises(ReproError):
-            coalesce_budget(SearchBudget(max_states=5), max_states=5)
-
-    def test_coalesce_builds_budget_from_legacy(self):
-        budget = coalesce_budget(None, max_states=7, max_seconds=1.5)
-        assert budget.max_states == 7
-        assert budget.max_seconds == 1.5
 
 
 class TestBudgetAcceptedEverywhere:
@@ -64,60 +54,40 @@ class TestBudgetAcceptedEverywhere:
             )
 
     def test_budget_plus_legacy_kwarg_is_an_error(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ReproError):
+        # The per-algorithm budget keywords are gone: they reach the
+        # algorithm as unknown keyword arguments.
+        for legacy in ({"max_states": 10}, {"max_seconds": 1.0}):
+            with pytest.raises(TypeError):
                 optimize(
                     fig1_workflow().workflow,
                     algorithm="es",
                     budget=SearchBudget(max_states=10),
-                    max_states=10,
+                    **legacy,
                 )
+
+    def test_bound_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            SearchBudget(bound=True)
 
 
 class TestDeprecationShims:
-    def test_legacy_max_states_still_works_and_warns_once(self):
-        with pytest.warns(DeprecationWarning) as caught:
-            result = optimize(
-                fig1_workflow().workflow, algorithm="es", max_states=100
-            )
-        assert result.best.cost <= result.initial.cost
-        deprecations = [
-            w for w in caught if w.category is DeprecationWarning
-        ]
-        assert len(deprecations) == 1
-        assert "budget=SearchBudget" in str(deprecations[0].message)
-
-    def test_legacy_hsconfig_still_works_and_warns_once(self):
-        with pytest.warns(DeprecationWarning) as caught:
-            result = optimize(
-                fig1_workflow().workflow,
-                algorithm="hs",
-                config=HSConfig(group_cap=16),
-            )
-        assert result.algorithm == "HS"
-        assert result.best.cost <= result.initial.cost
-        deprecations = [
-            w for w in caught if w.category is DeprecationWarning
-        ]
-        assert len(deprecations) == 1
-
-    def test_legacy_max_seconds_maps_to_budget(self):
-        with pytest.warns(DeprecationWarning):
-            result = optimize(
-                fig1_workflow().workflow, algorithm="sa", max_seconds=0.0
-            )
-        assert not result.completed
-
     def test_direct_algorithm_calls_stay_silent(self):
-        # Only the optimize() facade nags; the algorithm functions keep
-        # their historical signatures without warnings.
+        # No facade nags any more: every entry point takes budget= and
+        # HSConfig tuning knobs without a warning.
         from repro import exhaustive_search, heuristic_search
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            exhaustive_search(fig1_workflow().workflow, max_states=50)
+            exhaustive_search(
+                fig1_workflow().workflow, budget=SearchBudget(max_states=50)
+            )
             heuristic_search(
                 fig1_workflow().workflow, config=HSConfig(group_cap=8)
+            )
+            optimize(
+                fig1_workflow().workflow,
+                algorithm="hs",
+                config=HSConfig(group_cap=8),
             )
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.search import exhaustive_search
+from repro.core.search import SearchBudget, exhaustive_search
 from repro.engine import Executor, empirically_equivalent
 
 
@@ -30,16 +30,22 @@ class TestExhaustive:
         assert result.best.signature == "((1.8_1.3)//(2.4.6.8_2.5)).7.9"
 
     def test_max_states_budget(self, two_branch):
-        result = exhaustive_search(two_branch.workflow, max_states=5)
+        result = exhaustive_search(
+            two_branch.workflow, budget=SearchBudget(max_states=5)
+        )
         assert not result.completed
         assert result.visited_states <= 5
 
     def test_max_seconds_budget(self, two_branch):
-        result = exhaustive_search(two_branch.workflow, max_seconds=0.0)
+        result = exhaustive_search(
+            two_branch.workflow, budget=SearchBudget(max_seconds=0.0)
+        )
         assert not result.completed
 
     def test_budgeted_run_still_reports_best_so_far(self, two_branch):
-        result = exhaustive_search(two_branch.workflow, max_states=5)
+        result = exhaustive_search(
+            two_branch.workflow, budget=SearchBudget(max_states=5)
+        )
         assert result.best_cost <= result.initial_cost
 
     def test_never_worse_than_initial(self, fig1):

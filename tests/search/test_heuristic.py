@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.activity import CompositeActivity
 from repro.core.search import (
-    HSConfig,
+    SearchBudget,
     exhaustive_search,
     greedy_search,
     heuristic_search,
@@ -51,8 +51,9 @@ class TestHeuristicSearch:
         assert first.visited_states == second.visited_states
 
     def test_time_budget_returns_best_so_far(self, two_branch):
-        config = HSConfig(max_seconds=0.0)
-        result = heuristic_search(two_branch.workflow, config=config)
+        result = heuristic_search(
+            two_branch.workflow, budget=SearchBudget(max_seconds=0.0)
+        )
         assert not result.completed
         assert result.best_cost <= result.initial_cost
 
@@ -133,9 +134,15 @@ class TestOptimizeFacade:
     def test_kwargs_forwarded(self, fig1):
         from repro import optimize
 
-        with pytest.warns(DeprecationWarning):
-            result = optimize(fig1.workflow, algorithm="es", max_states=3)
+        result = optimize(
+            fig1.workflow,
+            algorithm="es",
+            budget=SearchBudget(max_states=3),
+            strategy="breadth_first",
+        )
         assert not result.completed
+        with pytest.raises(TypeError, match="strategy"):
+            optimize(fig1.workflow, algorithm="hs", strategy="breadth_first")
 
     def test_summary_mentions_algorithm(self, fig1):
         from repro import optimize

@@ -90,4 +90,5 @@ class TestConfig:
         assert config.group_cap > 0
         assert config.phase_state_cap > 0
         assert config.phase_iv_cap > 0
-        assert config.max_seconds is None
+        # Stopping criteria live on SearchBudget only.
+        assert not hasattr(config, "max_seconds")

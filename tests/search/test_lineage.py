@@ -32,7 +32,7 @@ ALGORITHMS = [
     pytest.param("hs", {}, id="hs"),
     pytest.param("hs-greedy", {}, id="hs-greedy"),
     pytest.param("sa", {"budget": SearchBudget()}, id="sa"),
-    # The pruning knobs must not break provenance: a beamed / bounded /
+    # The pruning knobs must not break provenance: a beamed or
     # dominance-pruned winner still replays from S0.
     pytest.param(
         "hs",
@@ -40,17 +40,8 @@ ALGORITHMS = [
         id="hs-beam",
     ),
     pytest.param(
-        "hs",
-        {"budget": SearchBudget(prune_dominated=True, bound=True)},
-        id="hs-pruned",
-    ),
-    pytest.param(
         "es",
-        {
-            "budget": SearchBudget(
-                max_states=300, prune_dominated=True, bound=True
-            )
-        },
+        {"budget": SearchBudget(max_states=300, prune_dominated=True)},
         id="es-pruned",
     ),
 ]

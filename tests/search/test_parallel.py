@@ -225,13 +225,13 @@ class TestOptimizeManyKnobs:
     """Regression: the batch driver must forward *every* budget knob.
 
     optimize_many once rebuilt the shared budget field by field and
-    silently dropped the PR 6 pruning knobs (beam_width / prune_dominated
-    / bound), so batch runs searched a different space than the same
-    budget passed to a per-workflow call.
+    silently dropped the pruning knobs (beam_width / prune_dominated), so
+    batch runs searched a different space than the same budget passed to
+    a per-workflow call.
     """
 
     def test_batch_honours_pruning_knobs(self):
-        budget = SearchBudget(beam_width=1, prune_dominated=True, bound=True)
+        budget = SearchBudget(beam_width=1, prune_dominated=True)
         workload = generate_workload("small", seed=0)
         direct = heuristic_search(workload.workflow.copy(), budget=budget)
         unknobbed = heuristic_search(

@@ -1,19 +1,20 @@
-"""Soundness and determinism of the search-pruning knobs (ISSUE 6).
+"""Soundness and determinism of the two search-pruning knobs.
 
-Three claims, each tested where it is actually provable:
+``prune_dominated`` is ES-only and ``beam_width`` HS-only.  Three
+claims, each tested where it is actually provable:
 
-* **Invariance** — on state spaces ES *completes*, dominance pruning and
-  branch-and-bound must return the exact optimum the unpruned run finds
-  (bitwise-equal cost).  Completed spaces are essential: under a
-  truncated budget the traversal order legitimately changes best-so-far,
-  so comparing truncated runs tests nothing.
+* **Invariance** — on state spaces ES *completes*, dominance pruning
+  must return the exact optimum the unpruned run finds (bitwise-equal
+  cost).  Completed spaces are essential: under a truncated budget the
+  traversal order legitimately changes best-so-far, so comparing
+  truncated runs tests nothing.
 * **Reproduction** — with every knob off (or trivially large), the
   pruned code paths must reproduce the classic algorithms byte for byte.
 * **Determinism** — a beam run is a pure function of its inputs: two
   runs agree, and a parallel run agrees with its serial twin.
 
 Plus the observability contract: pruning work shows up on the
-``search.pruned_dominated`` / ``search.bnb_cutoffs`` counters.
+``search.pruned_dominated`` counter.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ _TINY_BUDGET = 60_000
 
 _PRUNING_MODES = [
     pytest.param({"prune_dominated": True}, id="dominance"),
-    pytest.param({"bound": True}, id="branch-and-bound"),
-    pytest.param({"prune_dominated": True, "bound": True}, id="both"),
 ]
 
 
@@ -93,17 +92,12 @@ class TestExhaustiveInvariance:
     def test_parallel_pruned_es_matches_serial(self):
         serial = exhaustive_search(
             _workflow("tiny", 2),
-            budget=SearchBudget(
-                max_states=_TINY_BUDGET, prune_dominated=True, bound=True
-            ),
+            budget=SearchBudget(max_states=_TINY_BUDGET, prune_dominated=True),
         )
         parallel = exhaustive_search(
             _workflow("tiny", 2),
             budget=SearchBudget(
-                max_states=_TINY_BUDGET,
-                prune_dominated=True,
-                bound=True,
-                jobs=2,
+                max_states=_TINY_BUDGET, prune_dominated=True, jobs=2
             ),
         )
         assert parallel.completed and serial.completed
@@ -112,7 +106,7 @@ class TestExhaustiveInvariance:
 
 
 class TestHeuristicPruning:
-    """HS's group-local B&B / dominance never change the answer."""
+    """``prune_dominated`` is ES-only: HS ignores it entirely."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("knobs", _PRUNING_MODES)
@@ -123,6 +117,8 @@ class TestHeuristicPruning:
         )
         assert pruned.best_cost == base.best_cost
         assert pruned.best.signature == base.best.signature
+        assert pruned.visited_states == base.visited_states
+        assert pruned.lineage == base.lineage
 
 
 class TestBeam:
@@ -194,19 +190,9 @@ class TestCounters:
         # The delta-costing counter rides along on every search.
         assert counters.get("search.delta_recost_nodes", 0) > 0
 
-    def test_bnb_cutoffs_are_counted(self):
-        recorder = Recorder()
-        with use_recorder(recorder):
-            run_search(
-                "hs", _workflow("small", 0), budget=SearchBudget(bound=True)
-            )
-        counters = _counters(recorder)
-        assert counters.get("search.bnb_cutoffs", 0) > 0
-
     def test_no_pruning_counters_when_knobs_off(self):
         recorder = Recorder()
         with use_recorder(recorder):
             run_search("hs", _workflow("small", 0))
         counters = _counters(recorder)
         assert "search.pruned_dominated" not in counters
-        assert "search.bnb_cutoffs" not in counters

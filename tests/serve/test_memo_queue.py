@@ -29,7 +29,7 @@ class TestMemoKey:
             {"max_seconds": 1.0},
             {"beam_width": 2},
             {"prune_dominated": True},
-            {"bound": True},
+            {"beam_width": 2, "prune_dominated": True},
         ],
     )
     def test_every_outcome_knob_is_included(self, knob):
@@ -118,12 +118,10 @@ class TestTenantPolicy:
         assert effective.cache is None
 
     def test_pruning_knobs_survive_the_clamp(self):
-        requested = SearchBudget(
-            beam_width=3, prune_dominated=True, bound=True
-        )
+        requested = SearchBudget(beam_width=3, prune_dominated=True)
         effective = TenantPolicy(max_states=50).clamp(requested, max_jobs=1)
         assert effective.beam_width == 3
-        assert effective.prune_dominated and effective.bound
+        assert effective.prune_dominated
 
 
 class TestJobQueue:

@@ -62,13 +62,16 @@ class TestBudgetCodec:
             jobs=2,
             beam_width=4,
             prune_dominated=True,
-            bound=True,
         )
         assert budget_from_dict(budget_to_dict(budget)) == budget
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ProtocolError, match="max_statez"):
             budget_from_dict({"max_statez": 100})
+
+    def test_removed_bound_knob_is_an_unknown_field(self):
+        with pytest.raises(ProtocolError, match="unknown budget field.*bound"):
+            budget_from_dict({"bound": True})
 
     def test_cache_not_settable_over_the_wire(self):
         with pytest.raises(ProtocolError, match="cache"):

@@ -23,6 +23,7 @@ from repro.serve import (
     TenantPolicy,
 )
 from repro.serve.protocol import decode, encode, result_to_dict
+from repro.serve.server import MAX_REQUEST_BYTES
 from repro.workloads import fig1_workflow, generate_workload
 
 BUDGET = {"max_states": 300}
@@ -177,6 +178,31 @@ class TestOps:
                     _workflow(), "hs", budget={"max_statez": 100}
                 )
             assert excinfo.value.code == "bad-request"
+
+    def test_oversized_line_gets_a_typed_reply(self, server):
+        counter = "serve.requests[outcome=too_large]"
+        with server.client() as client:
+            before = client.stats()["counters"].get(counter, 0)
+        line = b'{"op": "ping", "pad": "' + b"x" * MAX_REQUEST_BYTES + b'"}\n'
+        with socket.create_connection(server.address, timeout=30) as sock:
+            try:
+                sock.sendall(line)
+            except OSError:
+                pass  # the daemon may close before taking the whole line
+            replies = sock.makefile("rb").read().splitlines()
+        # One typed reply, then the daemon closed the connection.
+        assert [decode(reply)["code"] for reply in replies] == ["too-large"]
+        with server.client() as client:
+            assert client.ping()
+            assert client.stats()["counters"][counter] == before + 1
+
+    def test_removed_bound_knob_is_bad_request(self, server):
+        with server.client() as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.optimize(_workflow(), "hs", budget={"bound": True})
+            assert excinfo.value.code == "bad-request"
+            assert "bound" in str(excinfo.value)
+            assert client.ping()
 
     def test_unknown_algorithm_is_bad_request(self, server):
         with server.client() as client:
