@@ -113,7 +113,7 @@ def optimize(
             knobs, honoured by every algorithm.
         **kwargs: algorithm-specific options (``merge_constraints`` and
             ``config=HSConfig(...)`` for HS/greedy, ``seed``/``steps`` for
-            annealing, ``strategy`` for ES).
+            annealing).
 
     Returns:
         The :class:`OptimizationResult` with the best state found and the

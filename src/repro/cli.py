@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "split the run into N data-parallel streaming pipelines "
-            "(targets/stats/rejects identical to serial; implies --stream)"
+            "(targets/stats/rejects identical to serial; N > 1 implies "
+            "--stream, N = 1 is the unsharded run, N < 1 is an error)"
         ),
     )
     cmd_run.add_argument(

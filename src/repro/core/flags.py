@@ -13,11 +13,15 @@ Three environment variables gate the performance machinery:
   ``estimate_incremental == estimate`` guarantee this is the debug oracle
   ISSUE 6 pins the optimization with; it is also wired into the fuzz
   oracles (``repro fuzz`` cost-consistency check).
-* ``REPRO_NO_COLUMNAR=1`` — disable the streaming engine's fused
-  columnar kernels and run every row-wise chain through the legacy
-  row-at-a-time operators.  The differential/property suites flip this
-  to compare the two paths; it is also the escape hatch if a fused
-  kernel ever misbehaves in production.
+* ``REPRO_NO_COLUMNAR=1`` — disable the engine's fused columnar
+  kernels: :class:`~repro.engine.columnar.FusedChainRunner`, the one
+  row-wise chain runner of streaming, sharded and batch-granular
+  checkpointed runs, takes its row-operator fallback for every chain,
+  and streaming sources skip the column build.  Only
+  :mod:`repro.engine.columnar` and the streaming source batcher read
+  it.  The differential/property suites flip this to compare the two
+  paths; it is also the escape hatch if a fused kernel ever misbehaves
+  in production.
 
 All are read once at import and can be toggled programmatically (tests,
 benchmarks) via the setters below.

@@ -25,7 +25,8 @@ from repro.core.search.state import SearchState
 from repro.core.search.transposition import TranspositionCache
 from repro.core.transitions.enumerate import candidate_transitions
 from repro.core.workflow import ETLWorkflow
-from repro.obs import get_recorder, record_transition, rejection_reason
+from repro.exceptions import ReproError
+from repro.obs import get_recorder, record_transition
 
 __all__ = ["annealing_search"]
 
@@ -114,14 +115,17 @@ def annealing_search(
             rng.shuffle(candidates)
             moved = False
             for transition in candidates:
-                successor_workflow = transition.try_apply_fast(current.workflow)
-                if successor_workflow is None:
+                try:
+                    successor_workflow = transition.apply_fast(
+                        current.workflow
+                    )
+                except ReproError as exc:
                     record_transition(
                         algorithm="SA",
                         transition=transition,
                         cost_before=current.cost,
                         accepted=False,
-                        reason=rejection_reason(transition, current.workflow),
+                        reason=str(exc),
                     )
                     continue
                 successor = current.successor(transition, successor_workflow, model)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from collections import deque
 
 from repro.core.cost.model import CostModel, ProcessedRowsCostModel
 from repro.core.search.budget import SearchBudget
@@ -32,7 +31,7 @@ from repro.core.signature import _is_commutative, state_signature
 from repro.core.transitions.enumerate import candidate_transitions
 from repro.core.workflow import ETLWorkflow, Node
 from repro.exceptions import ReproError
-from repro.obs import get_recorder, record_transition, rejection_reason
+from repro.obs import get_recorder, record_transition
 
 __all__ = ["dominance_class", "exhaustive_search"]
 
@@ -92,7 +91,6 @@ def dominance_class(workflow: ETLWorkflow) -> str:
 def exhaustive_search(
     workflow: ETLWorkflow,
     model: CostModel | None = None,
-    strategy: str = "best_first",
     budget: SearchBudget | None = None,
     pool=None,
 ) -> OptimizationResult:
@@ -100,21 +98,19 @@ def exhaustive_search(
 
     The paper's ES keeps a set of unvisited states and "picks an unvisited
     state" without fixing an order; run to completion any order explores
-    the same (finite) space.  Under a budget the order matters, so two
-    strategies are offered: ``"best_first"`` (default — expand the
-    cheapest known state next, which makes budget-truncated runs report a
-    meaningful best-so-far, the paper's medium/large methodology) and
-    ``"breadth_first"`` (plain FIFO).
+    the same (finite) space.  Under a budget the order matters, so ES
+    expands best-first — the cheapest known state next — which makes
+    budget-truncated runs report a meaningful best-so-far, the paper's
+    medium/large methodology.
 
     Args:
         workflow: the initial state ``S0``.
         model: cost model; defaults to the paper's processed-rows model.
-        strategy: ``"best_first"`` or ``"breadth_first"``.
         budget: uniform :class:`SearchBudget`; with ``jobs != 1`` the
-            best-first frontier expands in parallel waves (see
-            :func:`~repro.core.search.parallel.parallel_exhaustive`;
-            breadth-first stays serial).  ``budget.cache`` memoizes state
-            costs so warm re-runs skip re-costing.
+            frontier expands in parallel waves (see
+            :func:`~repro.core.search.parallel.parallel_exhaustive`).
+            ``budget.cache`` memoizes state costs so warm re-runs skip
+            re-costing.
         pool: optional shared worker pool (see
             :func:`~repro.core.search.parallel.optimize_many`).
 
@@ -122,12 +118,10 @@ def exhaustive_search(
         An :class:`OptimizationResult` whose ``completed`` flag records
         whether the space was exhausted within budget.
     """
-    if strategy not in ("best_first", "breadth_first"):
-        raise ReproError(f"unknown ES strategy {strategy!r}")
     model = model if model is not None else ProcessedRowsCostModel()
     budget = budget if budget is not None else SearchBudget()
 
-    if budget.resolved_jobs() > 1 and strategy == "best_first":
+    if budget.resolved_jobs() > 1:
         from repro.core.search.parallel import parallel_exhaustive
 
         return parallel_exhaustive(workflow, model, budget, pool=pool)
@@ -148,17 +142,13 @@ def exhaustive_search(
         if budget.prune_dominated:
             class_best = {dominance_class(initial.workflow): initial.cost}
         pruned_dominated = 0
-        best_first = strategy == "best_first"
-        heap: list[tuple[float, str, SearchState]] = []
-        fifo: deque[SearchState] = deque()
-        if best_first:
-            heap.append((initial.cost, initial.signature, initial))
-        else:
-            fifo.append(initial)
+        heap: list[tuple[float, str, SearchState]] = [
+            (initial.cost, initial.signature, initial)
+        ]
         best = initial
         completed = True
 
-        while heap or fifo:
+        while heap:
             if budget.max_states is not None and len(seen) >= budget.max_states:
                 completed = False
                 break
@@ -168,19 +158,17 @@ def exhaustive_search(
             ):
                 completed = False
                 break
-            if best_first:
-                _, _, state = heapq.heappop(heap)
-            else:
-                state = fifo.popleft()
+            _, _, state = heapq.heappop(heap)
             for transition in candidate_transitions(state.workflow):
-                successor_workflow = transition.try_apply_fast(state.workflow)
-                if successor_workflow is None:
+                try:
+                    successor_workflow = transition.apply_fast(state.workflow)
+                except ReproError as exc:
                     record_transition(
                         algorithm="ES",
                         transition=transition,
                         cost_before=state.cost,
                         accepted=False,
-                        reason=rejection_reason(transition, state.workflow),
+                        reason=str(exc),
                     )
                     continue
                 # Signature-first dedup: re-derived states are skipped
@@ -219,12 +207,9 @@ def exhaustive_search(
                         pruned_dominated += 1
                         continue
                     class_best[cls] = successor.cost
-                if best_first:
-                    heapq.heappush(
-                        heap, (successor.cost, successor.signature, successor)
-                    )
-                else:
-                    fifo.append(successor)
+                heapq.heappush(
+                    heap, (successor.cost, successor.signature, successor)
+                )
                 if (
                     budget.max_states is not None
                     and len(seen) >= budget.max_states

@@ -67,7 +67,6 @@ from repro.obs import (
     Recorder,
     get_recorder,
     record_transition,
-    rejection_reason,
     use_recorder,
 )
 from repro.obs.provenance import build_transition
@@ -76,7 +75,7 @@ from repro.core.transitions.factorize import Distribute, Factorize
 from repro.core.transitions.merge import Merge, Split
 from repro.core.transitions.swap import Swap
 from repro.core.workflow import ETLWorkflow, Node
-from repro.exceptions import SearchBudgetExceeded, TransitionError, WorkflowError
+from repro.exceptions import SearchBudgetExceeded, WorkflowError
 
 __all__ = ["HSConfig", "heuristic_search"]
 
@@ -499,76 +498,43 @@ def _distributable_in_state(
 # -- shifting (chains of swaps; every intermediate is a counted state) ------------------
 
 
-def _shift_forward_state(
-    state: SearchState, activity: Activity, binary: Activity, session: _Session
+def _shift_state(
+    state: SearchState,
+    activity: Activity,
+    binary: Activity,
+    session: _Session,
+    *,
+    forward: bool,
 ) -> SearchState | None:
+    """ShiftFrw (``forward=True``) or ShiftBkw as a chain of SWA steps.
+
+    ShiftFrw pushes ``activity`` forward until it directly feeds
+    ``binary``; ShiftBkw pulls it back until ``binary`` directly feeds
+    it.  Every intermediate state is recorded as visited.  Returns the
+    shifted state, or ``None`` when a swap along the way is inapplicable
+    or ``binary`` is not reachable through unary activities.
+    """
     current = state
     for _ in range(len(state.workflow)):
-        consumers = current.workflow.consumers(activity)
-        if len(consumers) != 1:
+        if forward:
+            neighbours = current.workflow.consumers(activity)
+        else:
+            neighbours = current.workflow.providers(activity)
+        if len(neighbours) != 1:
             return None
-        consumer = consumers[0]
-        if consumer is binary:
+        neighbour = neighbours[0]
+        if neighbour is binary:
             return current
-        if not isinstance(consumer, Activity) or not consumer.is_unary:
+        if not isinstance(neighbour, Activity) or not neighbour.is_unary:
             return None
-        swap = Swap(activity, consumer)
-        shifted = swap.try_apply_fast(current.workflow)
-        if shifted is None:
-            record_transition(
-                algorithm=session.algorithm,
-                transition=swap,
-                cost_before=current.cost,
-                accepted=False,
-                reason=rejection_reason(swap, current.workflow),
-            )
-            return None
-        before = current.cost
-        current = current.successor(swap, shifted, session.model)
-        record_transition(
-            algorithm=session.algorithm,
-            transition=swap,
-            cost_before=before,
-            cost_after=current.cost,
-            accepted=True,
+        swap = (
+            Swap(activity, neighbour) if forward else Swap(neighbour, activity)
         )
-        session.record(current)
-    return None
-
-
-def _shift_backward_state(
-    state: SearchState, activity: Activity, binary: Activity, session: _Session
-) -> SearchState | None:
-    current = state
-    for _ in range(len(state.workflow)):
-        providers = current.workflow.providers(activity)
-        if len(providers) != 1:
-            return None
-        provider = providers[0]
-        if provider is binary:
-            return current
-        if not isinstance(provider, Activity) or not provider.is_unary:
-            return None
-        swap = Swap(provider, activity)
-        shifted = swap.try_apply_fast(current.workflow)
-        if shifted is None:
-            record_transition(
-                algorithm=session.algorithm,
-                transition=swap,
-                cost_before=current.cost,
-                accepted=False,
-                reason=rejection_reason(swap, current.workflow),
-            )
-            return None
-        before = current.cost
-        current = current.successor(swap, shifted, session.model)
-        record_transition(
-            algorithm=session.algorithm,
-            transition=swap,
-            cost_before=before,
-            cost_after=current.cost,
-            accepted=True,
+        current = current.try_successor(
+            swap, session.model, algorithm=session.algorithm
         )
+        if current is None:
+            return None
         session.record(current)
     return None
 
@@ -769,25 +735,10 @@ def _explore_hermetic(
         _, _, expanding, path = heapq.heappop(heap)
         expansions += 1
         for swap in _group_swaps(expanding.workflow, members):
-            shifted = swap.try_apply_fast(expanding.workflow)
-            if shifted is None:
-                record_transition(
-                    algorithm=algorithm,
-                    transition=swap,
-                    cost_before=expanding.cost,
-                    accepted=False,
-                    reason=rejection_reason(swap, expanding.workflow),
-                )
-                continue
-            successor = expanding.successor(swap, shifted, model)
-            record_transition(
-                algorithm=algorithm,
-                transition=swap,
-                cost_before=expanding.cost,
-                cost_after=successor.cost,
-                accepted=True,
+            successor = expanding.try_successor(
+                swap, model, algorithm=algorithm
             )
-            if successor.signature in local_seen:
+            if successor is None or successor.signature in local_seen:
                 continue
             local_seen.add(successor.signature)
             explored.append((successor.signature, successor.cost))
@@ -818,24 +769,9 @@ def _hill_climb_hermetic(
     while improved:
         improved = False
         for swap in _group_swaps(current.workflow, members):
-            shifted = swap.try_apply_fast(current.workflow)
-            if shifted is None:
-                record_transition(
-                    algorithm=algorithm,
-                    transition=swap,
-                    cost_before=current.cost,
-                    accepted=False,
-                    reason=rejection_reason(swap, current.workflow),
-                )
+            successor = current.try_successor(swap, model, algorithm=algorithm)
+            if successor is None:
                 continue
-            successor = current.successor(swap, shifted, model)
-            record_transition(
-                algorithm=algorithm,
-                transition=swap,
-                cost_before=current.cost,
-                cost_after=successor.cost,
-                accepted=True,
-            )
             explored.append((successor.signature, successor.cost))
             if successor.cost < current.cost:
                 current = successor
@@ -1001,38 +937,24 @@ def _phase_factorize(
                 continue
             if binary not in state.workflow:
                 continue
-            shifted_first = _shift_forward_state(state, first, binary, session)
+            shifted_first = _shift_state(
+                state, first, binary, session, forward=True
+            )
             if shifted_first is None:
                 continue
-            shifted_both = _shift_forward_state(
-                shifted_first, second, binary, session
+            shifted_both = _shift_state(
+                shifted_first, second, binary, session, forward=True
             )
             if shifted_both is None:
                 continue
-            factorize = Factorize(binary, first, second)
-            try:
-                new_workflow = factorize.apply_fast(shifted_both.workflow)
-            except TransitionError as exc:
-                record_transition(
-                    algorithm=session.algorithm,
-                    transition=factorize,
-                    cost_before=shifted_both.cost,
-                    accepted=False,
-                    reason=str(exc),
-                )
-                continue
-            new_state = shifted_both.successor(
-                factorize, new_workflow, session.model
-            )
-            record_transition(
+            new_state = shifted_both.try_successor(
+                Factorize(binary, first, second),
+                session.model,
                 algorithm=session.algorithm,
-                transition=factorize,
-                cost_before=shifted_both.cost,
-                cost_after=new_state.cost,
-                accepted=True,
             )
             if (
-                session.record(new_state)
+                new_state is not None
+                and session.record(new_state)
                 and len(produced) < session.config.phase_state_cap
             ):
                 produced.append(new_state)
@@ -1058,31 +980,19 @@ def _phase_distribute(
                 continue
             if binary.template.name not in activity.distributes_over:
                 continue
-            shifted = _shift_backward_state(state, activity, binary, session)
+            shifted = _shift_state(
+                state, activity, binary, session, forward=False
+            )
             if shifted is None:
                 continue
-            distribute = Distribute(binary, activity)
-            try:
-                new_workflow = distribute.apply_fast(shifted.workflow)
-            except TransitionError as exc:
-                record_transition(
-                    algorithm=session.algorithm,
-                    transition=distribute,
-                    cost_before=shifted.cost,
-                    accepted=False,
-                    reason=str(exc),
-                )
-                continue
-            new_state = shifted.successor(distribute, new_workflow, session.model)
-            record_transition(
+            new_state = shifted.try_successor(
+                Distribute(binary, activity),
+                session.model,
                 algorithm=session.algorithm,
-                transition=distribute,
-                cost_before=shifted.cost,
-                cost_after=new_state.cost,
-                accepted=True,
             )
             if (
-                session.record(new_state)
+                new_state is not None
+                and session.record(new_state)
                 and len(produced) < session.config.phase_state_cap
             ):
                 produced.append(new_state)

@@ -64,8 +64,6 @@ from repro.obs import (
     NULL_RECORDER,
     Recorder,
     get_recorder,
-    record_transition,
-    rejection_reason,
     use_recorder,
 )
 
@@ -334,27 +332,11 @@ def _expand_task(
     with use_recorder(local), local.trace(trace):
         with local.span("search.es.expand"):
             for transition in candidate_transitions(state.workflow):
-                successor_workflow = transition.try_apply_fast(state.workflow)
-                if successor_workflow is None:
-                    record_transition(
-                        algorithm="ES",
-                        transition=transition,
-                        cost_before=state.cost,
-                        accepted=False,
-                        reason=rejection_reason(transition, state.workflow),
-                    )
-                    continue
-                successor = state.successor(
-                    transition, successor_workflow, model
+                successor = state.try_successor(
+                    transition, model, algorithm="ES"
                 )
-                record_transition(
-                    algorithm="ES",
-                    transition=transition,
-                    cost_before=state.cost,
-                    cost_after=successor.cost,
-                    accepted=True,
-                )
-                successors.append(successor)
+                if successor is not None:
+                    successors.append(successor)
     return successors, local.events()
 
 

@@ -27,7 +27,8 @@ from repro.core.cost.model import CostModel
 from repro.core.signature import state_signature
 from repro.core.transitions.base import Transition
 from repro.core.workflow import ETLWorkflow
-from repro.obs.provenance import transition_targets
+from repro.exceptions import ReproError
+from repro.obs.provenance import record_transition, transition_targets
 from repro.obs.telemetry import get_recorder
 
 __all__ = ["LineageStep", "SearchState"]
@@ -132,18 +133,37 @@ class SearchState:
         )
 
     def try_successor(
-        self, transition: Transition, model: CostModel
+        self, transition: Transition, model: CostModel, *, algorithm: str
     ) -> "SearchState | None":
-        """Apply ``transition`` via the incremental fast path and wrap it.
+        """One recorded search step: apply ``transition``, wrap, record.
 
-        The one-call hot-loop entry point: structural check, dict-level
-        copy, patched/Kahn topology, incremental validation + schema
+        The hot-loop entry point: structural check, dict-level copy,
+        patched/Kahn topology, incremental validation + schema
         propagation (``Transition.apply_fast``), then delta re-costing
-        against this state's report.  Returns ``None`` when the
-        transition is inapplicable.  ``REPRO_FULL_RECOST`` /
-        ``REPRO_COST_ORACLE`` apply (see :mod:`repro.core.flags`).
+        against this state's report.  The decision is recorded under
+        ``algorithm`` (:func:`~repro.obs.provenance.record_transition`):
+        a rejected transition carries the fast path's own exception
+        message as its reason and returns ``None``.
+        ``REPRO_FULL_RECOST`` / ``REPRO_COST_ORACLE`` apply (see
+        :mod:`repro.core.flags`).
         """
-        successor_workflow = transition.try_apply_fast(self.workflow)
-        if successor_workflow is None:
+        try:
+            successor_workflow = transition.apply_fast(self.workflow)
+        except ReproError as exc:
+            record_transition(
+                algorithm=algorithm,
+                transition=transition,
+                cost_before=self.cost,
+                accepted=False,
+                reason=str(exc),
+            )
             return None
-        return self.successor(transition, successor_workflow, model)
+        successor = self.successor(transition, successor_workflow, model)
+        record_transition(
+            algorithm=algorithm,
+            transition=transition,
+            cost_before=self.cost,
+            cost_after=successor.cost,
+            accepted=True,
+        )
+        return successor

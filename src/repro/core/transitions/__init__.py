@@ -4,11 +4,6 @@ from repro.core.transitions.base import Transition
 from repro.core.transitions.enumerate import candidate_transitions, successor_states
 from repro.core.transitions.factorize import Distribute, Factorize, homologous
 from repro.core.transitions.merge import Merge, Split, split_fully
-from repro.core.transitions.shift import (
-    ShiftResult,
-    shift_backward,
-    shift_forward,
-)
 from repro.core.transitions.swap import Swap
 
 __all__ = [
@@ -20,9 +15,6 @@ __all__ = [
     "Split",
     "split_fully",
     "homologous",
-    "ShiftResult",
-    "shift_forward",
-    "shift_backward",
     "candidate_transitions",
     "successor_states",
 ]

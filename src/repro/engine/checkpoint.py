@@ -31,9 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.activity import Activity
-from repro.core.flags import columnar_enabled
 from repro.engine.batches import ExecutionBudget, iter_batches
-from repro.engine.columnar import Batch, FusedChainRunner, supports_columnar
+from repro.engine.columnar import Batch, FusedChainRunner
 from repro.engine.executor import ExecutionStats, Executor, iter_components
 from repro.engine.rows import Row
 from repro.exceptions import ExecutionError
@@ -176,32 +175,16 @@ def run_activity_batched(
         partial = store.begin_partial(activity.id, resumable=row_wise)
         start = 0
 
-    registry, context = executor.registry, executor.context
     appended = 0
     if row_wise:
         flow = inputs[0]
-        runner = None
-        if columnar_enabled() and all(
-            supports_columnar(component, registry)
-            for component in components
-        ):
-            runner = FusedChainRunner(context, registry)
-            runner.add(components)
+        runner = FusedChainRunner(executor.context, executor.registry)
+        runner.add(components)
         for offset in range(start, len(flow), budget.batch_size):
             batch = flow[offset : offset + budget.batch_size]
-            if runner is not None:
-                out, counts, _ = runner.run_batch(Batch.from_rows(batch))
-                for component, (rows_in, rows_out) in zip(
-                    components, counts
-                ):
-                    stats.record(component.id, rows_in, rows_out)
-            else:
-                out = batch
-                for component in components:
-                    operator = registry.get(component.template.name)
-                    produced = operator(component, (out,), context)
-                    stats.record(component.id, len(out), len(produced))
-                    out = produced
+            out, counts, _ = runner.run_batch(Batch.from_rows(batch))
+            for component, (rows_in, rows_out) in zip(components, counts):
+                stats.record(component.id, rows_in, rows_out)
             store.append_partial(partial, out, offset + len(batch))
             appended += 1
             store.check_fail_after(activity.id, appended)

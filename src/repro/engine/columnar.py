@@ -32,12 +32,14 @@ evolving flows simply compile (or fall back) per layout.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.activity import Activity
-from repro.engine.rows import Row
+from repro.core.flags import columnar_enabled
+from repro.engine.rows import Row, freeze_row
 from repro.exceptions import ExecutionError
 
 __all__ = [
@@ -787,17 +789,22 @@ def _chain_cache_key(
 
 
 class FusedChainRunner:
-    """Runs a chain of builtin row-wise components one batch at a time.
+    """Runs a chain of row-wise components one batch at a time.
 
-    The runner compiles a fused function lazily per incoming column
-    layout (so ragged or evolving flows just compile — or fall back —
-    per layout) and otherwise replays the chain through the legacy row
-    operators, which keeps error semantics and custom corner cases
-    bit-identical to the row path.
+    This is the engine's one row-wise chain runner: streaming pipes,
+    partition shards and batch-granular checkpoints all run their chains
+    through it.  The runner compiles a fused function lazily per
+    incoming column layout and falls back to the row operators
+    (:meth:`_run_rows`) — keeping error semantics and custom corner
+    cases bit-identical to the materializing path — for three reasons:
+    a layout it cannot compile (ragged rows, a missing attribute), a
+    stage :func:`supports_columnar` rejects (a custom or re-bound
+    template), or ``REPRO_NO_COLUMNAR`` (see :mod:`repro.core.flags`).
 
     ``add`` may be called repeatedly *before* the first batch to grow
-    the chain — the streaming pipeline uses this to fuse row-wise stages
-    across node boundaries.
+    the chain across node boundaries; callers extend a runner only with
+    stages that :meth:`fits`, so a custom template never drags its
+    builtin neighbours onto the row path.
     """
 
     def __init__(self, context, registry):
@@ -805,7 +812,20 @@ class FusedChainRunner:
         self.registry = registry
         self.stages: list[Activity] = []
         self.bounds: list[_RejectBound] = []
+        #: True while every stage can run on the fused kernels.
+        self.columnar = columnar_enabled()
         self._programs: dict[tuple[str, ...], Any] = {}
+
+    def _compiles(self, components: Sequence[Activity]) -> bool:
+        return columnar_enabled() and all(
+            supports_columnar(component, self.registry)
+            for component in components
+        )
+
+    def fits(self, components: Sequence[Activity]) -> bool:
+        """True when ``components`` run on the same path as this chain
+        (both fused, or both row operators)."""
+        return not self.stages or self._compiles(components) == self.columnar
 
     def add(
         self,
@@ -815,6 +835,7 @@ class FusedChainRunner:
         """Append components; with an id, track their drops as rejects."""
         start = len(self.stages)
         self.stages.extend(components)
+        self.columnar = self._compiles(self.stages)
         if reject_activity_id is not None:
             self.bounds.append(
                 _RejectBound(start, len(self.stages), reject_activity_id)
@@ -835,7 +856,7 @@ class FusedChainRunner:
         ``stage_counts[i]`` is the ``(rows_in, rows_out)`` pair of stage
         ``i`` — the caller owns stats/metric recording policy.
         """
-        columns = batch.columns_or_none()
+        columns = batch.columns_or_none() if self.columnar else None
         if columns is not None:
             key = tuple(columns)
             fn = self._programs.get(key, _UNCOMPILED)
@@ -877,11 +898,8 @@ class FusedChainRunner:
     def _run_rows(
         self, batch: Batch
     ) -> tuple[Batch, list[tuple[int, int]], dict[str, list[Row]]]:
-        """Legacy row-at-a-time fallback (ragged layout / unfusable)."""
-        from collections import Counter
-
-        from repro.engine.rows import freeze_row
-
+        """The row-operator path.  Once the flow is empty, later stages
+        report ``(0, 0)`` without calling their operators."""
         rows = batch.to_rows()
         stage_counts: list[tuple[int, int]] = []
         dropped = {bound.activity_id: [] for bound in self.bounds}
@@ -893,10 +911,13 @@ class FusedChainRunner:
             bound = starts.get(index)
             if bound is not None:
                 entering[bound.activity_id] = out
-            operator = self.registry.get(component.template.name)
-            produced = operator(component, (out,), self.context)
-            stage_counts.append((len(out), len(produced)))
-            out = produced
+            if out:
+                operator = self.registry.get(component.template.name)
+                produced = operator(component, (out,), self.context)
+                stage_counts.append((len(out), len(produced)))
+                out = produced
+            else:
+                stage_counts.append((0, 0))
             bound = ends.get(index + 1)
             if bound is not None:
                 kept = Counter(freeze_row(row) for row in out)

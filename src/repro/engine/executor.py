@@ -167,7 +167,9 @@ class Executor:
         streaming pipelines over range-partitioned sources (implies
         streaming; targets/stats/rejects stay byte-identical to serial —
         see :mod:`repro.engine.partition`), degrading to serial streaming
-        with a warning when the workflow shape does not allow it.
+        with a warning when the workflow shape does not allow it;
+        ``shards=1`` is the unsharded run and ``shards`` < 1 raises
+        :class:`~repro.exceptions.ExecutionError`.
         With a ``checkpoint`` store, every node's output is saved as it
         completes and nodes already in the store are restored instead of
         recomputed, so a run that failed resumes where it stopped; with a
@@ -176,6 +178,8 @@ class Executor:
         materializing loop, so it combines with neither ``shards`` > 1
         nor ``collect_rejects``.
         """
+        if shards is not None and shards < 1:
+            raise ExecutionError(f"shards must be at least 1, got {shards}")
         sharded = shards is not None and shards > 1
         if checkpoint is not None:
             if sharded:

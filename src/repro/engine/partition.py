@@ -25,6 +25,11 @@ therefore as the materializing run), for every shard count:
 * *rejects* — filters drop rows in flow order; the same leaf-major /
   shard-major merge applies.
 
+Each shard batches its source slices with the serial run's source
+batcher and runs its row-wise chains through the same
+:class:`~repro.engine.columnar.FusedChainRunner`, grouped the same way:
+consecutive stages share a runner while they compile alike.
+
 ``StreamingMetrics`` is *not* part of the contract: a sharded run
 genuinely processes more (smaller) batches and its peak is per-process,
 so ``batches_by_activity`` and ``peak_resident_rows`` describe the
@@ -44,12 +49,10 @@ from __future__ import annotations
 import itertools
 import time
 import warnings
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.core.activity import Activity, CompositeActivity
-from repro.core.flags import columnar_enabled
 from repro.core.recordset import RecordSet
 from repro.core.search.parallel import WorkerPool, preloaded, unload
 from repro.core.workflow import ETLWorkflow
@@ -58,16 +61,17 @@ from repro.engine.batches import (
     ResidentLedger,
     StreamingMetrics,
 )
-from repro.engine.columnar import Batch, FusedChainRunner, supports_columnar
+from repro.engine.columnar import FusedChainRunner
 from repro.engine.executor import (
     ExecutionResult,
     ExecutionStats,
     Executor,
     iter_components,
 )
-from repro.engine.rows import Row, check_rows_match_schema, freeze_row
+from repro.engine.rows import Row
 from repro.engine.streaming import (
     ComponentMetrics,
+    _checked_batches,
     execute_streaming,
     is_row_wise,
     record_operator_spans,
@@ -227,69 +231,33 @@ def partition_plan(workflow: ETLWorkflow) -> PartitionPlan:
 # -- per-shard execution (runs inside workers) -------------------------------
 
 
-def _source_batches(node, rows, batch_size, check_schemas, columnar):
-    """Schema-checked source batches — the same check-is-the-column-build
-    fast path as the serial streaming run (row indices in errors are
-    shard-relative)."""
-    where = f"source {node.name}"
-    attrs = node.schema.attrs
-    width = len(attrs)
-    fast = check_schemas and columnar
-    for start in range(0, len(rows), batch_size):
-        chunk = rows[start : start + batch_size]
-        if fast:
-            try:
-                if sum(map(len, chunk)) == width * len(chunk):
-                    columns = {
-                        name: [row[name] for row in chunk] for name in attrs
-                    }
-                    yield Batch.from_columns(columns, len(chunk))
-                    continue
-            except KeyError:
-                pass
-            check_rows_match_schema(
-                chunk, node.schema, where, start_index=start
-            )
-        elif check_schemas:
-            check_rows_match_schema(
-                chunk, node.schema, where, start_index=start
-            )
-        yield Batch.from_rows(chunk)
-
-
-def _leaf_program(leaf, registry, context, columnar, collect_rejects):
+def _leaf_program(leaf, registry, context, collect_rejects):
     """Compile one leaf into executable ops.
 
-    Consecutive fusable activities share one :class:`FusedChainRunner`
-    (the PR 7 kernels, unchanged); activities with custom/unfusable
-    components run the row-at-a-time fallback; union markers only
-    record counters.  Ops are ``("fused", runner, stage_ids)``,
-    ``("row", node, components, reject_id)`` or ``("union", node_id)``.
+    Consecutive stages share one :class:`FusedChainRunner` while they
+    compile alike (see :meth:`FusedChainRunner.fits`); a reject-tracked
+    filter activity joins as one group; union markers only record
+    counters.  Ops are ``("chain", runner, stage_ids)`` or
+    ``("union", node_id)``.
     """
     ops: list[tuple] = []
-    fused: tuple | None = None
+    chain: tuple | None = None
     for kind, node in leaf.steps:
         if kind == "union":
             ops.append(("union", node.id))
-            fused = None
+            chain = None
             continue
         components = tuple(iter_components(node))
-        reject_id = (
-            node.id
-            if collect_rejects and Executor.is_filter_like(node)
-            else None
-        )
-        if columnar and all(
-            supports_columnar(c, registry) for c in components
-        ):
-            if fused is None:
-                fused = ("fused", FusedChainRunner(context, registry), [])
-                ops.append(fused)
-            fused[1].add(components, reject_id)
-            fused[2].extend(c.id for c in components)
+        if collect_rejects and Executor.is_filter_like(node):
+            groups = [(components, node.id)]
         else:
-            ops.append(("row", node, components, reject_id))
-            fused = None
+            groups = [((component,), None) for component in components]
+        for group, reject_id in groups:
+            if chain is None or not chain[1].fits(group):
+                chain = ("chain", FusedChainRunner(context, registry), [])
+                ops.append(chain)
+            chain[1].add(group, reject_id)
+            chain[2].extend(component.id for component in group)
     return ops
 
 
@@ -303,7 +271,6 @@ def _run_shard(
     collect_rejects: bool,
     context,
     registry,
-    columnar: bool,
 ) -> dict:
     """Execute every leaf on this shard's source slices (pure).
 
@@ -334,13 +301,11 @@ def _run_shard(
                 f"no data supplied for source {leaf.source.name!r}"
             ) from None
         start, end = shard_bounds(len(rows), shards)[shard]
-        program = _leaf_program(
-            leaf, registry, context, columnar, collect_rejects
-        )
+        program = _leaf_program(leaf, registry, context, collect_rejects)
         rejects: dict[str, list[Row]] = {}
         out_rows: list[Row] = []
-        for batch in _source_batches(
-            leaf.source, rows[start:end], batch_size, check_schemas, columnar
+        for batch in _checked_batches(
+            leaf.source, rows[start:end], batch_size, check_schemas
         ):
             ledger.acquire(leaf.source.id, len(batch))
             try:
@@ -349,51 +314,17 @@ def _run_shard(
                     if op[0] == "union":
                         record(op[1], len(flow), len(flow))
                         continue
-                    if op[0] == "fused":
-                        _, runner, stage_ids = op
-                        out, counts, dropped = runner.run_batch(flow)
-                        for index, (rows_in, rows_out) in enumerate(counts):
-                            if rows_in > 0 or runner.stage_in_reject_bound(
-                                index
-                            ):
-                                record(stage_ids[index], rows_in, rows_out)
-                        for activity_id, dropped_rows in dropped.items():
-                            if dropped_rows:
-                                rejects.setdefault(
-                                    activity_id, []
-                                ).extend(dropped_rows)
-                        flow = out
-                    else:
-                        _, node, components, reject_id = op
-                        arrived = flow.to_rows()
-                        out = arrived
-                        if reject_id is not None:
-                            for component in components:
-                                operator = registry.get(
-                                    component.template.name
-                                )
-                                made = operator(component, (out,), context)
-                                record(component.id, len(out), len(made))
-                                out = made
-                            kept = Counter(freeze_row(row) for row in out)
-                            bucket = rejects.setdefault(reject_id, [])
-                            for row in arrived:
-                                frozen = freeze_row(row)
-                                if kept[frozen] > 0:
-                                    kept[frozen] -= 1
-                                else:
-                                    bucket.append(row)
-                        else:
-                            for component in components:
-                                if not out:
-                                    break
-                                operator = registry.get(
-                                    component.template.name
-                                )
-                                made = operator(component, (out,), context)
-                                record(component.id, len(out), len(made))
-                                out = made
-                        flow = Batch.from_rows(out)
+                    _, runner, stage_ids = op
+                    out, counts, dropped = runner.run_batch(flow)
+                    for index, (rows_in, rows_out) in enumerate(counts):
+                        if rows_in > 0 or runner.stage_in_reject_bound(index):
+                            record(stage_ids[index], rows_in, rows_out)
+                    for activity_id, dropped_rows in dropped.items():
+                        if dropped_rows:
+                            rejects.setdefault(activity_id, []).extend(
+                                dropped_rows
+                            )
+                    flow = out
                     if not flow:
                         break
                 if flow:
@@ -431,7 +362,6 @@ def _shard_task(args: tuple) -> dict:
         payload["collect_rejects"],
         payload["context"],
         payload["registry"],
-        payload["columnar"],
     )
 
 
@@ -485,7 +415,6 @@ def execute_partitioned(
             collect_rejects=collect_rejects,
         )
 
-    columnar = columnar_enabled()
     jobs = shards if jobs is None else max(1, int(jobs))
     if jobs > 1:
         token = f"engine.shard:{next(_TOKEN_IDS)}"
@@ -500,7 +429,6 @@ def execute_partitioned(
                 "collect_rejects": collect_rejects,
                 "context": executor.context,
                 "registry": executor.registry,
-                "columnar": columnar,
             },
         )
         try:
@@ -523,7 +451,6 @@ def execute_partitioned(
                 collect_rejects,
                 executor.context,
                 executor.registry,
-                columnar,
             )
             for shard in range(shards)
         ]

@@ -6,14 +6,16 @@ before night-window-sized loads.  This module executes the same workflows
 as generator pipelines over fixed-size :class:`~repro.engine.columnar.
 Batch` chunks:
 
-* **row-wise activities** (kind FILTER / FUNCTION) built from fusable
-  builtin templates are compiled into a *fused* columnar kernel — one
-  generated function per chain per column layout (see
-  :mod:`repro.engine.columnar`) — and adjacent row-wise nodes join the
-  same :class:`_FusedPipe`, so a linear chain costs one pass over the
-  touched columns per batch instead of one dict rebuild per operator per
-  row.  Custom row-wise templates (and builtin templates re-bound to
-  custom operators) run the legacy row-at-a-time path unchanged;
+* **row-wise activities** (kind FILTER / FUNCTION) run through the one
+  chain runner, :class:`~repro.engine.columnar.FusedChainRunner`, and
+  adjacent row-wise nodes join the same :class:`_ChainPipe`.  Builtin
+  templates compile into a *fused* columnar kernel — one generated
+  function per chain per column layout — so a linear chain costs one
+  pass over the touched columns per batch instead of one dict rebuild
+  per operator per row.  Custom row-wise templates (and builtin
+  templates re-bound to custom operators) get a pipe of their own that
+  runs the row operators, so they never pull their builtin neighbours
+  off the kernels;
 * **blocking activities** run an explicit *accumulate-then-emit* phase:
   aggregation and distinct fold batches into O(groups) accumulators
   (column-wise when the batch has a usable column view), join buffers
@@ -32,8 +34,8 @@ same target lists, same per-activity (member-level, for composites)
 ``ExecutionStats`` counters.  That property is enforced by the
 equivalence test suite, the fuzz oracles, and the Hypothesis columnar
 conformance suite; setting ``REPRO_NO_COLUMNAR=1`` (see
-:mod:`repro.core.flags`) forces every row-wise chain onto the legacy row
-operators for differential debugging.
+:mod:`repro.core.flags`) makes the chain runner use the row operators
+and sources skip the column build, for differential debugging.
 """
 
 from __future__ import annotations
@@ -55,12 +57,7 @@ from repro.engine.batches import (
     StreamingMetrics,
     rebatch,
 )
-from repro.engine.columnar import (
-    Batch,
-    FusedChainRunner,
-    frozen_rows,
-    supports_columnar,
-)
+from repro.engine.columnar import Batch, FusedChainRunner, frozen_rows
 from repro.engine.executor import (
     ExecutionResult,
     ExecutionStats,
@@ -128,19 +125,60 @@ def record_operator_spans(
         recorder.counter("engine.spilled_rows").add(ledger.spilled_rows)
 
 
-class _FusedPipe:
-    """A chain of fused row-wise stages, possibly spanning node bounds.
+def _checked_batches(
+    node: RecordSet, rows: list[Row], batch_size: int, check_schemas: bool
+) -> BatchIterator:
+    """A source's rows as schema-checked batches (error row indices are
+    relative to ``rows``).
+
+    When schema checking is on and the columnar path is enabled, the
+    conformance check *is* the column build: every row must yield a
+    value for every schema attribute (KeyError otherwise) and carry
+    exactly ``len(schema)`` attributes — together that is set equality,
+    at one column-build pass instead of a per-row set comparison, and
+    downstream fused chains get a column view for free.  Any violation
+    re-runs the row checker for its exact per-row error message.
+    """
+    where = f"source {node.name}"
+    fast = check_schemas and columnar_enabled()
+    attrs = node.schema.attrs
+    width = len(attrs)
+    for start in range(0, len(rows), batch_size):
+        chunk = rows[start : start + batch_size]
+        if fast:
+            try:
+                if sum(map(len, chunk)) == width * len(chunk):
+                    columns = {
+                        name: [row[name] for row in chunk] for name in attrs
+                    }
+                    yield Batch.from_columns(columns, len(chunk))
+                    continue
+            except KeyError:
+                pass
+            # Some row diverges from the schema: the row checker raises
+            # with the offending row's index.
+            check_rows_match_schema(
+                chunk, node.schema, where, start_index=start
+            )
+        elif check_schemas:
+            check_rows_match_schema(
+                chunk, node.schema, where, start_index=start
+            )
+        yield Batch.from_rows(chunk)
+
+
+class _ChainPipe:
+    """A chain of row-wise stages, possibly spanning node bounds.
 
     Construction happens during the topological pipeline build; adjacent
-    row-wise nodes call :meth:`add` to join an existing (not yet
-    iterated) pipe instead of stacking another generator on top, so a
-    whole source-to-blocking stretch of the workflow runs as one
-    compiled loop per batch.
+    row-wise nodes whose stages compile alike call :meth:`add` to join
+    an existing (not yet iterated) pipe instead of stacking another
+    generator on top, so a whole source-to-blocking stretch of builtin
+    stages runs as one compiled loop per batch.
 
-    Stats mirror the legacy generators: a stage records a batch only
-    when rows actually reached it — except stages inside a
-    reject-collecting activity, which (like the old reject chain) record
-    even empty intermediates.
+    A stage records a batch only when rows actually reached it — except
+    stages inside a reject-collecting activity, which record even empty
+    intermediates.  Stages share each batch's time evenly.
     """
 
     def __init__(
@@ -216,7 +254,6 @@ class _StreamRun:
         self.stats = ExecutionStats()
         self.metrics: dict[str, ComponentMetrics] = {}
         self.rejects: dict[str, list[Row]] = {}
-        self.columnar = columnar_enabled()
         self._buffers: list[SpillableRowBuffer] = []
 
     # -- bookkeeping ------------------------------------------------------
@@ -334,7 +371,7 @@ class _StreamRun:
                     raise ExecutionError(
                         f"no data supplied for source {node.name!r}"
                     ) from None
-                return self._source_batches(node, rows)
+                return self._source_iter(node, rows)
             return self._claim(supply, self.workflow.providers(node)[0])
         input_iters = tuple(
             self._claim(supply, provider)
@@ -342,56 +379,15 @@ class _StreamRun:
         )
         return self._activity_iter(node, input_iters)
 
-    def _source_batches(self, node: RecordSet, rows: list[Row]) -> BatchIterator:
-        where = f"source {node.name}"
-        for offset, batch in self._checked_batches(node, rows, where):
+    def _source_iter(self, node: RecordSet, rows: list[Row]) -> BatchIterator:
+        for batch in _checked_batches(
+            node, rows, self.budget.batch_size, self.check_schemas
+        ):
             self.ledger.acquire(node.id, len(batch))
             try:
                 yield batch
             finally:
                 self.ledger.release(node.id, len(batch))
-
-    def _checked_batches(
-        self, node: RecordSet, rows: list[Row], where: str
-    ) -> Iterator[tuple[int, Batch]]:
-        """Source rows as schema-checked batches.
-
-        When schema checking is on and the columnar path is enabled, the
-        conformance check *is* the column build: every row must yield a
-        value for every schema attribute (KeyError otherwise) and carry
-        exactly ``len(schema)`` attributes — together that is set
-        equality, at one column-build pass instead of a per-row set
-        comparison, and downstream fused chains get a column view for
-        free.  Any violation re-runs the row checker for its exact
-        per-row error message.
-        """
-        batch_size = self.budget.batch_size
-        fast = self.check_schemas and self.columnar
-        attrs = node.schema.attrs
-        width = len(attrs)
-        for start in range(0, len(rows), batch_size):
-            chunk = rows[start : start + batch_size]
-            if fast:
-                try:
-                    if sum(map(len, chunk)) == width * len(chunk):
-                        columns = {
-                            name: [row[name] for row in chunk]
-                            for name in attrs
-                        }
-                        yield start, Batch.from_columns(columns, len(chunk))
-                        continue
-                except KeyError:
-                    pass
-                # Some row diverges from the schema: the row checker
-                # raises with the offending row's absolute index.
-                check_rows_match_schema(
-                    chunk, node.schema, where, start_index=start
-                )
-            elif self.check_schemas:
-                check_rows_match_schema(
-                    chunk, node.schema, where, start_index=start
-                )
-            yield start, Batch.from_rows(chunk)
 
     def _activity_iter(
         self, activity: Activity, input_iters: tuple[BatchIterator, ...]
@@ -404,15 +400,8 @@ class _StreamRun:
             and Executor.is_filter_like(activity)
             and all(is_row_wise(component) for component in components)
         ):
-            if self.columnar and all(
-                supports_columnar(component, self.registry)
-                for component in components
-            ):
-                return self._fused_iter(
-                    components, input_iters[0], reject_activity=activity.id
-                )
-            return self._filter_chain_with_rejects(
-                activity, components, input_iters[0]
+            return self._chain_iter(
+                components, input_iters[0], reject_activity=activity.id
             )
         if not isinstance(activity, CompositeActivity):
             return self._component_iter(activity, input_iters)
@@ -426,9 +415,7 @@ class _StreamRun:
     ) -> BatchIterator:
         self.metric(component)  # register before any batch flows
         if is_row_wise(component):
-            if self.columnar and supports_columnar(component, self.registry):
-                return self._fused_iter((component,), input_iters[0])
-            return self._rowwise(component, input_iters[0])
+            return self._chain_iter((component,), input_iters[0])
         name = component.template.name
         if name == "aggregation":
             return self._aggregate(component, input_iters[0])
@@ -446,81 +433,27 @@ class _StreamRun:
 
     # -- streaming operators ---------------------------------------------
 
-    def _fused_iter(
+    def _chain_iter(
         self,
         components: tuple[Activity, ...],
         upstream: BatchIterator,
         reject_activity: str | None = None,
     ) -> BatchIterator:
-        """Fuse ``components`` onto ``upstream`` (extending an existing
-        pipe when the upstream is one that has not started flowing)."""
+        """Chain ``components`` onto ``upstream`` (extending an existing
+        pipe when the upstream is one that has not started flowing and
+        whose stages compile alike)."""
         for component in components:
             self.metric(component)
         if reject_activity is not None:
             self.rejects.setdefault(reject_activity, [])
-        if isinstance(upstream, _FusedPipe) and not upstream.started:
+        if (
+            isinstance(upstream, _ChainPipe)
+            and not upstream.started
+            and upstream.runner.fits(components)
+        ):
             upstream.add(components, reject_activity)
             return upstream
-        return _FusedPipe(self, upstream, components, reject_activity)
-
-    def _rowwise(
-        self, component: Activity, upstream: BatchIterator
-    ) -> BatchIterator:
-        operator = self.registry.get(component.template.name)
-        metric = self.metric(component)
-        for batch in upstream:
-            begun = time.perf_counter()
-            rows = batch.to_rows()
-            out = operator(component, (rows,), self.context)
-            self._record(metric, len(rows), len(out), time.perf_counter() - begun)
-            if out:
-                yield Batch.from_rows(out)
-
-    def _filter_chain_with_rejects(
-        self,
-        activity: Activity,
-        components: tuple[Activity, ...],
-        upstream: BatchIterator,
-    ) -> BatchIterator:
-        """A row-wise filter chain that also reports its dropped rows.
-
-        Filters keep rows unmodified, so the per-batch bag difference
-        concatenates to exactly the materializing path's whole-flow diff.
-        """
-        stages = [
-            (
-                self.metric(component),
-                self.registry.get(component.template.name),
-            )
-            for component in components
-        ]
-        dropped = self.rejects.setdefault(activity.id, [])
-
-        def pipeline() -> BatchIterator:
-            for batch in upstream:
-                rows = batch.to_rows()
-                out = rows
-                for metric, operator in stages:
-                    begun = time.perf_counter()
-                    produced = operator(
-                        metric.activity, (out,), self.context
-                    )
-                    self._record(
-                        metric, len(out), len(produced),
-                        time.perf_counter() - begun,
-                    )
-                    out = produced
-                kept = Counter(freeze_row(row) for row in out)
-                for row in rows:
-                    frozen = freeze_row(row)
-                    if kept[frozen] > 0:
-                        kept[frozen] -= 1
-                    else:
-                        dropped.append(row)
-                if out:
-                    yield Batch.from_rows(out)
-
-        return pipeline()
+        return _ChainPipe(self, upstream, components, reject_activity)
 
     def _aggregate(
         self, component: Activity, upstream: BatchIterator

@@ -62,7 +62,6 @@ from repro.obs.provenance import (
     lineage_mix,
     parse_transition,
     record_transition,
-    rejection_reason,
     replay_lineage,
     transition_targets,
     verify_lineage,
@@ -103,7 +102,6 @@ __all__ = [
     "new_trace_id",
     "parse_transition",
     "record_transition",
-    "rejection_reason",
     "render_exemplars",
     "render_prometheus",
     "render_summary",

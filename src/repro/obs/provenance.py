@@ -52,7 +52,6 @@ __all__ = [
     "LineageReplay",
     "LineageMismatch",
     "record_transition",
-    "rejection_reason",
     "transition_targets",
     "build_transition",
     "parse_transition",
@@ -87,21 +86,6 @@ def transition_targets(transition: Transition) -> tuple[str, ...]:
     if isinstance(transition, Split):
         return (transition.merged.id,)
     return ()
-
-
-def rejection_reason(
-    transition: Transition, workflow: ETLWorkflow
-) -> str | None:
-    """The diagnostic a rejected transition would raise, or ``None`` when
-    telemetry is off (the re-application that harvests the message is only
-    worth paying for a recorded event)."""
-    if not get_recorder().active:
-        return None
-    try:
-        transition.apply(workflow)
-    except ReproError as exc:
-        return str(exc)
-    return "applicable (raced)"  # pragma: no cover - defensive
 
 
 def record_transition(

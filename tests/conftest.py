@@ -72,3 +72,33 @@ def two_branch():
 def fig4():
     """The three Fig. 4 states plus the engine context they need."""
     return fig4_states(cardinality=8), fig4_context()
+
+
+def _shift(workflow, activity, binary, *, forward):
+    """HS's ShiftFrw (``forward=True``) or ShiftBkw on ``workflow``.
+
+    Returns ``(shifted, recorded)``: the shifted search state (``None``
+    when the shift is blocked) and the states the shift recorded as
+    visited, in order.
+    """
+    from repro.core.search import SearchBudget, SearchState
+    from repro.core.search.heuristic import HSConfig, _Session, _shift_state
+
+    recorded = []
+
+    class RecordingSession(_Session):
+        def record(self, state):
+            recorded.append(state)
+            return super().record(state)
+
+    model = ProcessedRowsCostModel()
+    session = RecordingSession(model, HSConfig(), SearchBudget())
+    state = SearchState.initial(workflow, model)
+    shifted = _shift_state(state, activity, binary, session, forward=forward)
+    return shifted, recorded
+
+
+@pytest.fixture
+def shift():
+    """The HS shift walk (see :func:`_shift`)."""
+    return _shift

@@ -404,17 +404,19 @@ class TestCodegenFeatures:
         assert not supports_columnar(activity, registry)
 
     def test_escape_hatch_disables_fusion(self, monkeypatch):
-        # REPRO_NO_COLUMNAR routes everything through row operators.
+        # REPRO_NO_COLUMNAR routes everything through row operators: the
+        # chain runner never compiles a kernel.
         calls = []
         from repro.engine import columnar
 
-        original = columnar.FusedChainRunner.run_batch
+        original = columnar._compile_chain
 
-        def counting(self, batch):
+        def counting(*args):
             calls.append(1)
-            return original(self, batch)
+            return original(*args)
 
-        monkeypatch.setattr(columnar.FusedChainRunner, "run_batch", counting)
+        monkeypatch.setattr(columnar, "_compile_chain", counting)
+        monkeypatch.setattr(columnar, "_PROGRAM_CACHE", {})
         rows = [{"A": i} for i in range(6)]
         steps = [("selection", {"attr": "A", "op": ">", "value": 2})]
         workflow = chain_workflow(steps, ("A",), ("A",), len(rows))
@@ -433,3 +435,156 @@ class TestCodegenFeatures:
             workflow, {"S": rows}, budget=ExecutionBudget(batch_size=2)
         )
         assert calls
+
+
+def _odd_a_template():
+    """A custom row-wise FILTER: keeps rows whose ``A`` is odd."""
+    from repro.templates.base import (
+        ActivityKind,
+        ActivityTemplate,
+        CostShape,
+        SchemaPlan,
+    )
+
+    return ActivityTemplate(
+        name="odd_a",
+        kind=ActivityKind.FILTER,
+        arity=1,
+        cost_shape=CostShape.LINEAR,
+        param_names=(),
+        planner=lambda params: SchemaPlan(
+            functionality_per_input=(Schema(("A",)),),
+            generated=Schema(()),
+            projected_out=Schema(()),
+        ),
+        doc="keep rows with an odd A",
+    )
+
+
+def _custom_between_builtins():
+    """σ(A>2) → f(B) → custom odd_a → NN(B) → f(A), with the custom
+    operator registered beside the builtins."""
+    from repro.engine import default_registry
+
+    library = default_library()
+    stages = [
+        (library.get("selection"), {"attr": "A", "op": ">", "value": 2}),
+        (
+            library.get("function_apply"),
+            {"function": "negate", "inputs": ["B"], "output": "B"},
+        ),
+        (_odd_a_template(), {}),
+        (library.get("not_null"), {"attr": "B"}),
+        (
+            library.get("function_apply"),
+            {"function": "scale_double", "inputs": ["A"], "output": "A"},
+        ),
+    ]
+    rows = [
+        {"A": i, "B": None if i % 5 == 0 else i * 10, "K": i}
+        for i in range(40)
+    ]
+    workflow = ETLWorkflow()
+    source = RecordSet(
+        "S", "S", Schema(("A", "B", "K")), kind=RecordSetKind.SOURCE,
+        cardinality=len(rows),
+    )
+    target = RecordSet(
+        "T", "T", Schema(("A", "B", "K")), kind=RecordSetKind.TARGET
+    )
+    workflow.add_node(source)
+    workflow.add_node(target)
+    previous = source
+    for index, (template, params) in enumerate(stages):
+        activity = Activity(f"a{index}", template, params, selectivity=0.5)
+        workflow.add_node(activity)
+        workflow.add_edge(previous, activity)
+        previous = activity
+    workflow.add_edge(previous, target)
+    registry = default_registry()
+    registry.register(
+        "odd_a",
+        lambda activity, inputs, ctx: [
+            row for row in inputs[0] if row["A"] % 2 == 1
+        ],
+    )
+    return workflow, {"S": rows}, Executor(registry=registry)
+
+
+class TestOneChainRunner:
+    """Every batched path runs row-wise chains through FusedChainRunner:
+    a custom template falls back to the row operators on its own, and
+    its builtin neighbours still compile."""
+
+    def _compiled_stretches(self, monkeypatch, run):
+        from repro.engine import columnar
+
+        compiled = set()
+        original = columnar._compile_chain
+
+        def probe(stages, *args):
+            compiled.add(tuple(stage.id for stage in stages))
+            return original(stages, *args)
+
+        monkeypatch.setattr(columnar, "_compile_chain", probe)
+        monkeypatch.setattr(columnar, "_PROGRAM_CACHE", {})
+        return run(), compiled
+
+    def _assert_matches(self, base, result):
+        assert result.targets == base.targets
+        assert result.stats.rows_processed == base.stats.rows_processed
+        assert result.stats.rows_output == base.stats.rows_output
+        assert result.rejects == base.rejects
+
+    @pytest.mark.parametrize("collect_rejects", [False, True])
+    def test_streaming(self, monkeypatch, collect_rejects):
+        workflow, data, executor = _custom_between_builtins()
+        base = executor.run(workflow, data, collect_rejects=collect_rejects)
+        result, compiled = self._compiled_stretches(
+            monkeypatch,
+            lambda: executor.run(
+                workflow,
+                data,
+                collect_rejects=collect_rejects,
+                budget=ExecutionBudget(batch_size=4),
+            ),
+        )
+        self._assert_matches(base, result)
+        assert compiled == {("a0", "a1"), ("a3", "a4")}
+
+    def test_partitioned_shards(self, monkeypatch):
+        from repro.engine.partition import execute_partitioned
+
+        workflow, data, executor = _custom_between_builtins()
+        base = executor.run(workflow, data, collect_rejects=True)
+        result, compiled = self._compiled_stretches(
+            monkeypatch,
+            lambda: execute_partitioned(
+                executor,
+                workflow,
+                data,
+                ExecutionBudget(batch_size=4),
+                3,
+                collect_rejects=True,
+                jobs=1,
+            ),
+        )
+        self._assert_matches(base, result)
+        assert compiled == {("a0", "a1"), ("a3", "a4")}
+
+    def test_batch_granular_checkpoint(self, monkeypatch):
+        from repro.engine import CheckpointStore
+
+        workflow, data, executor = _custom_between_builtins()
+        base = executor.run(workflow, data)
+        result, compiled = self._compiled_stretches(
+            monkeypatch,
+            lambda: executor.run(
+                workflow,
+                data,
+                budget=ExecutionBudget(batch_size=4),
+                checkpoint=CheckpointStore(),
+            ),
+        )
+        self._assert_matches(base, result)
+        assert compiled == {("a0",), ("a1",), ("a3",), ("a4",)}

@@ -212,6 +212,13 @@ class TestByteIdentity:
             serial.streaming.batches_by_activity
         )
 
+    @pytest.mark.parametrize("shards", [0, -3])
+    def test_shard_count_below_one_is_rejected(self, shards):
+        scenario, data = _two_branch(n=10)
+        executor = Executor(context=scenario.context)
+        with pytest.raises(ExecutionError, match="shards must be at least 1"):
+            executor.run(scenario.workflow, data, shards=shards)
+
 
 class TestDegradation:
     def test_join_degrades_with_warning_and_counter(self):

@@ -30,16 +30,14 @@ class TestIntroductionClaims:
         clone = distributed.node_by_id("8_2")
         assert not Swap(gamma, clone).is_applicable(distributed)
 
-    def test_selection_blocked_below_conversion(self, fig1):
+    def test_selection_blocked_below_conversion(self, fig1, shift):
         """Even if γ were out of the way, σ(ECOST_M) could never precede
         $2E: exercise via a chain of checks on the branch."""
         wf = fig1.workflow
         distributed = Distribute(wf.node_by_id("7"), wf.node_by_id("8")).apply(wf)
-        from repro.core.transitions import shift_backward
-
         clone = distributed.node_by_id("8_2")
         dollars = distributed.node_by_id("4")
-        assert shift_backward(distributed, clone, dollars) is None
+        assert shift(distributed, clone, dollars, forward=False)[0] is None
 
     def test_aggregation_swaps_with_date_conversion(self, fig1):
         wf = fig1.workflow

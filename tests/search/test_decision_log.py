@@ -1,0 +1,105 @@
+"""The decision log's rejected transitions.
+
+Each search step applies a transition once, on the fast path; a rejected
+step records that exception's message as its reason.  The message must be
+the one the slow twin ``Transition.apply`` raises for the same transition
+on the same state, and the log must not depend on ``jobs``.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro import SearchBudget, optimize
+from repro.core.transitions.base import Transition
+from repro.exceptions import ReproError
+from repro.obs import TRANSITION_EVENT, Recorder, use_recorder
+from repro.workloads import fig1_workflow, generate_workload
+
+#: ES's reason for an applicable transition whose state was seen before.
+_DUPLICATE = "duplicate state (signature already visited)"
+
+
+def _workflow(name):
+    if name == "fig1":
+        return fig1_workflow().workflow
+    # tiny seed 2: ES exhausts its space (153 states) in well under a second.
+    return generate_workload("tiny", seed=2).workflow
+
+
+def _decisions(workflow, algorithm, jobs=1):
+    recorder = Recorder()
+    with use_recorder(recorder):
+        optimize(workflow, algorithm, budget=SearchBudget(jobs=jobs))
+    return [
+        event["fields"]
+        for event in recorder.events()
+        if event.get("name") == TRANSITION_EVENT
+    ]
+
+
+def _fast_path_rejections(decisions):
+    return [
+        (event["transition"], event["reason"])
+        for event in decisions
+        if not event["accepted"]
+        and event["cost_after"] is None
+        and event["reason"] != _DUPLICATE
+    ]
+
+
+@pytest.mark.parametrize("algorithm", ["hs", "es", "sa"])
+@pytest.mark.parametrize("workload", ["fig1", "tiny"])
+def test_rejection_reason_is_the_slow_path_message(
+    monkeypatch, algorithm, workload
+):
+    raised = []
+    fast = Transition.apply_fast
+
+    def apply_fast(self, workflow):
+        try:
+            return fast(self, workflow)
+        except ReproError as exc:
+            try:
+                self.apply(workflow)
+            except ReproError as slow:
+                raised.append((self.describe(), str(exc), str(slow)))
+            else:
+                raised.append((self.describe(), str(exc), None))
+            raise
+
+    monkeypatch.setattr(Transition, "apply_fast", apply_fast)
+    decisions = _decisions(_workflow(workload), algorithm)
+
+    rejected = [event for event in decisions if not event["accepted"]]
+    assert rejected, "the corpus must exercise rejections"
+    assert all(event["reason"] for event in rejected)
+    assert raised
+    for description, fast_message, slow_message in raised:
+        assert fast_message == slow_message, description
+    assert _fast_path_rejections(decisions) == [
+        (description, fast_message)
+        for description, fast_message, _ in raised
+    ]
+
+
+@pytest.mark.parametrize("workload", ["fig1", "tiny"])
+def test_hs_decision_log_is_jobs_independent(workload):
+    serial = _decisions(_workflow(workload), "hs", jobs=1)
+    parallel = _decisions(_workflow(workload), "hs", jobs=2)
+    assert parallel == serial
+
+
+@pytest.mark.parametrize("workload", ["fig1", "tiny"])
+def test_es_rejections_are_jobs_independent(workload):
+    # Serial ES dedups each successor before costing it; the wave
+    # expansion dedups in the parent after the workers cost it.  So the
+    # two logs order and label duplicates differently, but a completed
+    # run considers the same transitions and rejects the same ones for
+    # the same reasons.
+    serial = _decisions(_workflow(workload), "es", jobs=1)
+    parallel = _decisions(_workflow(workload), "es", jobs=2)
+    assert len(parallel) == len(serial)
+    assert Counter(_fast_path_rejections(parallel)) == Counter(
+        _fast_path_rejections(serial)
+    )

@@ -134,15 +134,11 @@ class TestOptimizeFacade:
     def test_kwargs_forwarded(self, fig1):
         from repro import optimize
 
-        result = optimize(
-            fig1.workflow,
-            algorithm="es",
-            budget=SearchBudget(max_states=3),
-            strategy="breadth_first",
-        )
-        assert not result.completed
-        with pytest.raises(TypeError, match="strategy"):
-            optimize(fig1.workflow, algorithm="hs", strategy="breadth_first")
+        one_step = optimize(fig1.workflow, algorithm="sa", steps=1)
+        default = optimize(fig1.workflow, algorithm="sa")
+        assert one_step.visited_states < default.visited_states
+        with pytest.raises(TypeError, match="steps"):
+            optimize(fig1.workflow, algorithm="hs", steps=1)
 
     def test_summary_mentions_algorithm(self, fig1):
         from repro import optimize

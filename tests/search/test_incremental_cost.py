@@ -188,7 +188,9 @@ class TestDebugFlags:
         state = SearchState.initial(workflow, model)
         out = []
         for transition in fuzz_candidates(workflow):
-            successor = state.try_successor(transition, model)
+            successor = state.try_successor(
+                transition, model, algorithm="test"
+            )
             if successor is not None:
                 out.append(
                     (
@@ -224,7 +226,9 @@ class TestDebugFlags:
         state = SearchState.initial(workflow, model)
         checked = 0
         for transition in fuzz_candidates(workflow):
-            successor = state.try_successor(transition, model)
+            successor = state.try_successor(
+                transition, model, algorithm="test"
+            )
             if successor is None:
                 continue
             _assert_reports_equal(

@@ -66,7 +66,7 @@ def _swap_state(wf: ETLWorkflow):
         if isinstance(transition, Swap)
     ]
     assert swaps, "adjacent filter pair must admit a swap"
-    state = initial.try_successor(swaps[0], model)
+    state = initial.try_successor(swaps[0], model, algorithm="test")
     assert state is not None
     return initial, state
 

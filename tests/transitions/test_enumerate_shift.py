@@ -1,12 +1,10 @@
-"""Transition enumeration and the ShiftFrw/ShiftBkw helpers."""
+"""Transition enumeration and HS's ShiftFrw/ShiftBkw walk."""
 
 from repro.core.transitions import (
     Distribute,
     Factorize,
     Swap,
     candidate_transitions,
-    shift_backward,
-    shift_forward,
     successor_states,
 )
 
@@ -48,42 +46,42 @@ class TestEnumeration:
 
 
 class TestShift:
-    def test_shift_forward_already_adjacent(self, fig1):
+    def test_shift_forward_already_adjacent(self, fig1, shift):
         wf = fig1.workflow
         gamma, union = wf.node_by_id("6"), wf.node_by_id("7")
-        result = shift_forward(wf, gamma, union)
+        result, recorded = shift(wf, gamma, union, forward=True)
         assert result is not None
-        assert result.intermediates == []
+        assert recorded == []
 
-    def test_shift_forward_moves_activity(self, fig1):
+    def test_shift_forward_moves_activity(self, fig1, shift):
         wf = fig1.workflow
         dollars, union = wf.node_by_id("4"), wf.node_by_id("7")
         # $2E cannot reach the union: the aggregation needs ECOST.
-        assert shift_forward(wf, dollars, union) is None
+        assert shift(wf, dollars, union, forward=True)[0] is None
 
-    def test_shift_forward_convert_reaches_union(self, two_branch):
+    def test_shift_forward_convert_reaches_union(self, two_branch, shift):
         wf = two_branch.workflow
         convert, union = wf.node_by_id("3"), wf.node_by_id("7")
-        result = shift_forward(wf, convert, union)
+        result, recorded = shift(wf, convert, union, forward=True)
         assert result is not None
-        assert len(result.intermediates) == 1  # swapped past σ(V2)
+        assert len(recorded) == 1  # swapped past σ(V2)
         assert result.workflow.consumers(convert) == [union]
 
-    def test_shift_forward_blocked_by_consumed_attr(self, two_branch):
+    def test_shift_forward_blocked_by_consumed_attr(self, two_branch, shift):
         """NN(V1) cannot pass the convert that consumes V1."""
         wf = two_branch.workflow
         nn, union = wf.node_by_id("6"), wf.node_by_id("7")
-        assert shift_forward(wf, nn, union) is None
+        assert shift(wf, nn, union, forward=True)[0] is None
 
-    def test_shift_backward_to_union(self, fig1):
+    def test_shift_backward_to_union(self, fig1, shift):
         wf = fig1.workflow
         sigma, union = wf.node_by_id("8"), wf.node_by_id("7")
-        result = shift_backward(wf, sigma, union)
+        result, recorded = shift(wf, sigma, union, forward=False)
         assert result is not None
-        assert result.intermediates == []
+        assert recorded == []
         assert result.workflow.providers(sigma) == [union]
 
-    def test_shift_backward_blocked(self, fig1):
+    def test_shift_backward_blocked(self, fig1, shift):
         wf = fig1.workflow
         # Distribute σ first so the clone sits after γ in branch 2.
         distributed = Distribute(wf.node_by_id("7"), wf.node_by_id("8")).apply(wf)
@@ -91,12 +89,12 @@ class TestShift:
         # It cannot be pulled back before the aggregation's branch start
         # ($2E): the aggregation generates its functionality attribute.
         dollars = distributed.node_by_id("4")
-        assert shift_backward(distributed, clone, dollars) is None
+        assert shift(distributed, clone, dollars, forward=False)[0] is None
 
-    def test_shift_intermediates_are_valid_states(self, two_branch):
+    def test_shift_intermediates_are_valid_states(self, two_branch, shift):
         wf = two_branch.workflow
         convert, union = wf.node_by_id("3"), wf.node_by_id("7")
-        result = shift_forward(wf, convert, union)
-        for intermediate in result.intermediates:
-            intermediate.validate()
-            intermediate.propagate_schemas()
+        _, recorded = shift(wf, convert, union, forward=True)
+        for intermediate in recorded:
+            intermediate.workflow.validate()
+            intermediate.workflow.propagate_schemas()

@@ -287,6 +287,11 @@ class TestRunCommand:
         flow, _ = runnable_flow
         assert main(["run", flow, "--data", "/nonexistent/data.json"]) == 2
 
+    def test_shards_below_one_exits_2(self, runnable_flow, capsys):
+        flow, data = runnable_flow
+        assert main(["run", flow, "--data", data, "--shards", "0"]) == 2
+        assert "shards must be at least 1" in capsys.readouterr().err
+
 
 class TestFuzzStreamingFlags:
     def test_fuzz_with_batch_size_streams(self, capsys):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import optimize
-from repro.core.transitions import Distribute, Factorize, Swap, shift_backward
+from repro.core.transitions import Distribute, Factorize, Swap
 from repro.engine import Executor, empirically_equivalent
 from repro.workloads import star_join_scenario
 
@@ -96,7 +96,7 @@ class TestTransitionsAcrossJoin:
 
         assert state_signature(refactorized) == state_signature(wf)
 
-    def test_key_filter_shifts_into_branch(self, star):
+    def test_key_filter_shifts_into_branch(self, star, shift):
         """After DIS, the PK clone on the fact branch pushes down past the
         amount filter and the conversion toward the source."""
         wf = star.workflow
@@ -104,9 +104,11 @@ class TestTransitionsAcrossJoin:
         clone = distributed.node_by_id("7_1")
         # PK(CUSTKEY) does not interact with f(AMOUNT->NET) or σ(NET), so
         # two swaps carry it all the way back to the ORDERS source.
-        shifted = shift_backward(distributed, clone, distributed.node_by_id("1"))
+        shifted, recorded = shift(
+            distributed, clone, distributed.node_by_id("1"), forward=False
+        )
         assert shifted is not None
-        assert len(shifted.swaps) == 2
+        assert len(recorded) == 2
         assert shifted.workflow.providers(clone) == [
             shifted.workflow.node_by_id("1")
         ]
