@@ -63,10 +63,20 @@ def _node_outputs(
         provider = workflow.providers(node)[0]
         return 0.0, cards[provider]
     assert isinstance(node, Activity)
-    input_cards = tuple(cards[p] for p in workflow.providers(node))
-    cost = model.activity_cost(node, input_cards)
-    out = model.output_cardinality(node, input_cards)
-    return cost, out
+    return activity_outputs(
+        model, node, tuple(cards[p] for p in workflow.providers(node))
+    )
+
+
+def activity_outputs(
+    model: CostModel, activity: Activity, input_cards: tuple[float, ...]
+) -> tuple[float, float]:
+    """(cost, output cardinality) of one activity given its input
+    cardinalities — the per-node rule every estimate is built from."""
+    return (
+        model.activity_cost(activity, input_cards),
+        model.output_cardinality(activity, input_cards),
+    )
 
 
 def estimate(workflow: ETLWorkflow, model: CostModel) -> CostReport:

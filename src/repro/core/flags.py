@@ -4,15 +4,20 @@ Three environment variables gate the performance machinery:
 
 * ``REPRO_FULL_RECOST=1`` — force every transition onto the slow,
   obviously-correct twin (full copy + full structural validation + full
-  schema propagation + from-scratch costing).  This is the baseline the
-  differential suite and ``benchmarks/bench_parallel.py`` compare the
-  fast path against.
+  schema propagation + from-scratch costing), and explore HS local
+  groups by building a ``SearchState`` per swap
+  (:meth:`~repro.core.search.state.SearchState.try_successor`) instead
+  of running the group kernel.  This is the baseline the differential
+  suites and ``benchmarks/bench_parallel.py`` compare the fast paths
+  against.
 * ``REPRO_COST_ORACLE=1`` — run *both* paths for every transition and
   assert they agree: same accept/reject verdict, same derived schemata,
-  and a valid patched topological order.  Combined with the exact
-  ``estimate_incremental == estimate`` guarantee this is the debug oracle
-  ISSUE 6 pins the optimization with; it is also wired into the fuzz
-  oracles (``repro fuzz`` cost-consistency check).
+  and a valid patched topological order; every HS group exploration
+  runs the group kernel and its state-building twin (unrecorded) and
+  asserts the same ``(path, explored)`` outcome.  Combined with the
+  exact ``estimate_incremental == estimate`` guarantee this is the debug
+  oracle the optimization is pinned with; it is also wired into the
+  fuzz oracles (``repro fuzz`` cost-consistency check).
 * ``REPRO_NO_COLUMNAR=1`` — disable the engine's fused columnar
   kernels: :class:`~repro.engine.columnar.FusedChainRunner`, the one
   row-wise chain runner of streaming, sharded and batch-granular

@@ -1,0 +1,249 @@
+"""The group-local ordering kernel of HS Phases I and IV (section 4.2).
+
+An in-group swap leaves the group's input and the rest of the graph
+unchanged, so an ordering's verdict, cost and signature follow from the
+members alone (the chain re-ordering view of Kougka & Gounaris, "Cost
+optimization of data flows based on task re-ordering").  A
+:class:`GroupKernel` holds an ordering as a tuple of members with
+per-position output schema, cardinality and cost, and prices
+``SWA(o[i], o[i+1])`` from the parent ordering without building a state:
+
+* **verdict** — a tail with fan-out fails ``Swap.check`` (condition 2);
+  then the pair's semantic guard (memoized) and ``derive_output`` from
+  position ``i`` until schema and cardinality meet the parent's again;
+  a new tail schema re-derives the downstream nodes through
+  :meth:`ETLWorkflow.rederive`, memoized per tail schema.  Reasons are
+  the messages ``Transition.apply_fast`` raises.
+* **cost** — ``math.fsum`` over the unchanged, member and downstream
+  costs (the latter memoized per tail cardinality).  Every term is its
+  from-scratch value and ``fsum`` is order-independent, so the total
+  equals ``estimate()`` of the materialized state exactly.
+* **signature** — the chain spliced into the base signature, the nodes
+  downstream of the tail re-rendered through
+  :func:`~repro.core.signature.render_node`.
+
+Each considered swap is recorded as :meth:`SearchState.try_successor`
+records it; that state-building step stays as the slow twin (see
+:func:`repro.core.search.heuristic._explore_group`).
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from collections.abc import Iterator
+from typing import NamedTuple
+
+from repro.core.activity import Activity
+from repro.core.cost.estimator import _node_outputs, activity_outputs
+from repro.core.cost.model import CostModel
+from repro.core.schema import Schema
+from repro.core.search.state import SearchState
+from repro.core.signature import join_targets, render_node
+from repro.core.transitions.swap import Swap
+from repro.core.workflow import DerivedSchemas
+from repro.exceptions import SchemaError, TransitionError
+from repro.obs.provenance import record_transition
+
+__all__ = ["GroupKernel", "Ordering"]
+
+
+class Ordering(NamedTuple):
+    """One ordering of a local group, with its state's cost and signature."""
+
+    members: tuple[Activity, ...]
+    #: Output schema, cardinality and cost at each position.
+    schemas: tuple[Schema, ...]
+    cards: tuple[float, ...]
+    costs: tuple[float, ...]
+    cost: float
+    signature: str
+
+
+class GroupKernel:
+    """Prices the swaps of one local group of a base state.
+
+    ``members`` is the group in chain order (``local_groups`` order);
+    ``base`` carries the workflow, its exact cost report and signature.
+    """
+
+    def __init__(
+        self,
+        base: SearchState,
+        members: list[Activity],
+        model: CostModel,
+        algorithm: str,
+    ):
+        workflow, report = base.workflow, base.report
+        derived = workflow.propagate_schemas()
+        provider = workflow.providers(members[0])[0]
+        tail = members[-1]
+        downstream = workflow.downstream(tail)
+        order = workflow.topological_order()
+        self._workflow = workflow
+        self._model = model
+        self._algorithm = algorithm
+        self._tail = tail
+        self._fan_out = len(workflow.consumers(tail)) != 1
+        self._in_schema = derived[provider].output
+        self._in_card = report.cardinalities[provider]
+        self._derived = derived
+        self._cards = report.cardinalities
+        self._downstream = [node for node in order if node in downstream]
+        inside = set(members) | downstream
+        self._static_costs = [
+            cost for node, cost in report.node_costs.items()
+            if node not in inside
+        ]
+        # The base's signature renderings; _signature overwrites the tail
+        # and every downstream entry, in topological order, before any of
+        # them is read, so the memo is reused in place.
+        pred = workflow.graph._pred
+        memo: dict = {}
+        for node in order:
+            memo[node] = render_node(node, pred[node], memo)
+        self._memo = memo
+        self._prefix = f"{memo[provider]}."
+        self._preds = [(node, pred[node]) for node in self._downstream]
+        self._targets = workflow.targets()
+        self._guards: dict[tuple[Activity, Activity], str | None] = {}
+        self._schema_errors: dict[Schema, SchemaError | None] = {
+            derived[tail].output: None
+        }
+        self._downstream_costs: dict[float, list[float]] = {
+            report.cardinalities[tail]: [
+                report.node_costs[node]
+                for node in self._downstream
+                if isinstance(node, Activity)
+            ]
+        }
+        self.root = Ordering(
+            members=tuple(members),
+            schemas=tuple(derived[m].output for m in members),
+            cards=tuple(report.cardinalities[m] for m in members),
+            costs=tuple(report.node_costs[m] for m in members),
+            cost=base.cost,
+            signature=base.signature,
+        )
+
+    def successors(
+        self, parent: Ordering
+    ) -> Iterator[tuple[tuple[str, str], Ordering | None]]:
+        """Record and yield each swap of ``parent``, in ``_group_swaps``
+        order (positions by the first member's id): ``((first id, second
+        id), successor)``, the successor ``None`` when rejected."""
+        members = parent.members
+        last = len(members) - 1
+        for index in sorted(range(last), key=lambda i: members[i].id):
+            first, second = members[index], members[index + 1]
+            swap = Swap(first, second)
+            priced = self._price(parent, index, swap)
+            rejected = isinstance(priced, str)
+            record_transition(
+                algorithm=self._algorithm,
+                transition=swap,
+                cost_before=parent.cost,
+                cost_after=None if rejected else priced.cost,
+                accepted=not rejected,
+                reason=priced if rejected else None,
+            )
+            yield (first.id, second.id), None if rejected else priced
+
+    def _price(self, parent: Ordering, index: int, swap: Swap) -> Ordering | str:
+        """The swapped ordering, or the rejection reason."""
+        last = len(parent.members) - 1
+        if self._fan_out and index + 1 == last:
+            # Condition 2 at the tail.  A tail with fan-out never moves,
+            # so the base workflow has the structure Swap.check inspects.
+            try:
+                swap.check(self._workflow)
+            except TransitionError as exc:
+                return str(exc)
+        pair = (swap.first, swap.second)
+        if pair not in self._guards:
+            try:
+                swap._semantic_guard()
+                self._guards[pair] = None
+            except TransitionError as exc:
+                self._guards[pair] = str(exc)
+        if self._guards[pair] is not None:
+            return self._guards[pair]
+
+        members = list(parent.members)
+        members[index], members[index + 1] = swap.second, swap.first
+        schemas, cards, costs = (
+            list(parent.schemas), list(parent.cards), list(parent.costs)
+        )
+        schema = parent.schemas[index - 1] if index else self._in_schema
+        card = parent.cards[index - 1] if index else self._in_card
+        for position in range(index, last + 1):
+            activity = members[position]
+            try:
+                schema = activity.derive_output((schema,))
+            except SchemaError as exc:
+                return str(swap.invalid_state(exc))
+            costs[position], card = activity_outputs(
+                self._model, activity, (card,)
+            )
+            schemas[position], cards[position] = schema, card
+            if (
+                position > index
+                and schema == parent.schemas[position]
+                and card == parent.cards[position]
+            ):
+                break  # every later position is the parent's
+        error = self._downstream_error(schemas[last])
+        if error is not None:
+            return str(swap.invalid_state(error))
+        cost = math.fsum(
+            itertools.chain(
+                self._static_costs, costs, self._downstream_cost(cards[last])
+            )
+        )
+        return Ordering(
+            members=tuple(members),
+            schemas=tuple(schemas),
+            cards=tuple(cards),
+            costs=tuple(costs),
+            cost=cost,
+            signature=self._signature(members),
+        )
+
+    def _downstream_error(self, tail_schema: Schema) -> SchemaError | None:
+        """The first downstream schema failure under a tail schema."""
+        if tail_schema not in self._schema_errors:
+            derived = dict(self._derived)
+            # Consumers read only their providers' outputs.
+            derived[self._tail] = DerivedSchemas((), tail_schema)
+            error = None
+            try:
+                self._workflow.rederive(
+                    derived, set(self._workflow.consumers(self._tail))
+                )
+            except SchemaError as exc:
+                error = exc
+            self._schema_errors[tail_schema] = error
+        return self._schema_errors[tail_schema]
+
+    def _downstream_cost(self, tail_card: float) -> list[float]:
+        """The downstream activities' costs under a tail cardinality."""
+        costs = self._downstream_costs.get(tail_card)
+        if costs is None:
+            cards = dict(self._cards)
+            cards[self._tail] = tail_card
+            costs = []
+            for node in self._downstream:
+                cost, cards[node] = _node_outputs(
+                    self._workflow, self._model, node, cards
+                )
+                if isinstance(node, Activity):
+                    costs.append(cost)
+            self._downstream_costs[tail_card] = costs
+        return costs
+
+    def _signature(self, members: list[Activity]) -> str:
+        memo = self._memo
+        memo[self._tail] = self._prefix + ".".join(m.id for m in members)
+        for node, pred in self._preds:
+            memo[node] = render_node(node, pred, memo)
+        return join_targets(self._targets, memo)

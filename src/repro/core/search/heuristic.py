@@ -33,9 +33,16 @@ Group optimization is *hermetic*: each local group is explored
 independently from the phase's base state (its reachable orderings and
 their costs depend only on the group's internal ordering — the input
 cardinality and the rest of the graph are invariant under in-group
-swaps), and the per-group winners are composed in group order.  Because
-every group task is a pure function of (base workflow, member ids), the
-tasks can run on a process pool (``SearchBudget.jobs``) or be replayed
+swaps), and the per-group winners are composed in group order.  That
+invariance also lets the exploration step through the group kernel
+(:mod:`repro.core.search.group_kernel`), which prices each swap from the
+parent ordering instead of building a state; only the winning path is
+materialized.  ``REPRO_FULL_RECOST`` steps through
+:meth:`SearchState.try_successor` instead (the slow twin) and
+``REPRO_COST_ORACLE`` runs both and asserts they agree.  Because every
+group task is a pure function of (base workflow, member ids), the tasks
+can run on a process pool (``SearchBudget.jobs``; workers rebuild the
+base state by replaying its lineage on the fast path) or be replayed
 from the transposition cache, and serial, parallel and warm-cache runs
 all return byte-identical best states and visited counts.
 
@@ -51,10 +58,12 @@ import itertools
 import time
 from dataclasses import dataclass
 
+from repro.core import flags
 from repro.core.activity import Activity, CompositeActivity, base_clone_id
 from repro.core.cost.estimator import estimate
 from repro.core.cost.model import CostModel, ProcessedRowsCostModel
 from repro.core.search.budget import SearchBudget
+from repro.core.search.group_kernel import GroupKernel
 from repro.core.search.result import OptimizationResult
 from repro.core.search.state import SearchState
 from repro.core.search.transposition import (
@@ -75,7 +84,7 @@ from repro.core.transitions.factorize import Distribute, Factorize
 from repro.core.transitions.merge import Merge, Split
 from repro.core.transitions.swap import Swap
 from repro.core.workflow import ETLWorkflow, Node
-from repro.exceptions import SearchBudgetExceeded, WorkflowError
+from repro.exceptions import ReproError, SearchBudgetExceeded, WorkflowError
 
 __all__ = ["HSConfig", "heuristic_search"]
 
@@ -99,6 +108,13 @@ class HSConfig:
     group_cap: int = 64
     phase_state_cap: int = 48
     phase_iv_cap: int = 8
+
+    def __post_init__(self) -> None:
+        # 0 is valid (``group_cap=0`` is "HS without Phase I"); a negative
+        # cap would silently act as 0 or, as a slice end, drop states.
+        for name in ("group_cap", "phase_state_cap", "phase_iv_cap"):
+            if getattr(self, name) < 0:
+                raise ReproError(f"HSConfig.{name} must be >= 0")
 
 
 class _Session:
@@ -598,15 +614,17 @@ def _replay_script(
 
     The script is the state's lineage as structured ``(mnemonic,
     target ids)`` payloads — replayed through the real transition system
-    (PR 5's :func:`~repro.obs.provenance.build_transition` machinery) on
-    a copy of the preloaded S0.  The signature check turns any
-    divergence into a loud error instead of a silently different search.
+    (:func:`~repro.obs.provenance.build_transition`) on a copy of the
+    preloaded S0, on the incremental fast path (``apply_fast``: same
+    contract as ``apply``, cross-checked under ``REPRO_COST_ORACLE``).
+    The signature check turns any divergence into a loud error instead
+    of a silently different search.
     """
     workflow = base_workflow.copy()
     workflow.validate()
     workflow.propagate_schemas()
     for mnemonic, targets in script:
-        workflow = build_transition(workflow, mnemonic, targets).apply(
+        workflow = build_transition(workflow, mnemonic, targets).apply_fast(
             workflow
         )
     if state_signature(workflow) != signature:
@@ -680,27 +698,17 @@ def _group_task(
             report=estimate(workflow, model),
         )
         for member_ids in group_lists:
-            members = {
+            members = [
                 workflow.node_by_id(member_id) for member_id in member_ids
-            }
+            ]
             with local.span(
                 "search.group",
                 members=len(member_ids),
                 mode="greedy" if greedy else "best_first",
             ):
-                if greedy:
-                    path, explored = _hill_climb_hermetic(
-                        base, members, model, algorithm
-                    )
-                else:
-                    path, explored = _explore_hermetic(
-                        base,
-                        members,
-                        model,
-                        group_cap,
-                        algorithm,
-                        beam_width=beam,
-                    )
+                path, explored = _explore_group(
+                    base, members, model, algorithm, greedy, group_cap, beam
+                )
                 local.counter("search.group.states_explored").add(
                     len(explored)
                 )
@@ -708,41 +716,84 @@ def _group_task(
     return outcomes, local.events()
 
 
-def _explore_hermetic(
+def _explore_group(
     base: SearchState,
-    members: set[Activity],
+    members: list[Activity],
     model: CostModel,
+    algorithm: str,
+    greedy: bool,
     group_cap: int,
-    algorithm: str = "HS",
-    beam_width: int | None = None,
+    beam_width: int | None,
+) -> tuple[list[tuple[str, str]], list[tuple[str, float]]]:
+    """One group's ``(path, explored)``: best-first for HS, hill climbing
+    for HS-Greedy, stepping through the group kernel.
+
+    ``REPRO_FULL_RECOST`` steps through :meth:`SearchState.try_successor`
+    instead — the slow twin; ``REPRO_COST_ORACLE`` runs the twin too
+    (unrecorded) and asserts both return the same outcome.
+    """
+
+    def explore(root, successors):
+        if greedy:
+            return _hill_climb(root, successors)
+        return _best_first(root, successors, group_cap, beam_width)
+
+    def twin():
+        return explore(base, _state_successors(set(members), model, algorithm))
+
+    if flags.full_recost_enabled():
+        return twin()
+    kernel = GroupKernel(base, members, model, algorithm)
+    outcome = explore(kernel.root, kernel.successors)
+    if flags.cost_oracle_enabled():
+        with use_recorder(NULL_RECORDER):
+            expected = twin()
+        if outcome != expected:
+            raise AssertionError(
+                "cost oracle: the group kernel diverges from the "
+                f"state-building twin on group {[m.id for m in members]}"
+            )
+    return outcome
+
+
+def _state_successors(members: set[Activity], model: CostModel, algorithm: str):
+    """The slow twin's step: each swap builds a recorded ``SearchState``."""
+
+    def successors(state: SearchState):
+        for swap in _group_swaps(state.workflow, members):
+            yield (swap.first.id, swap.second.id), state.try_successor(
+                swap, model, algorithm=algorithm
+            )
+
+    return successors
+
+
+def _best_first(
+    root, successors, group_cap: int, beam_width: int | None = None
 ) -> tuple[list[tuple[str, str]], list[tuple[str, float]]]:
     """Best-first exploration of a group's reachable orderings (HS).
 
+    ``root`` is the base ordering and ``successors(node)`` its step (see
+    :func:`_explore_group`); nodes carry ``cost`` and ``signature``.
     ``beam_width`` trims the frontier to the k cheapest orderings after
-    each expansion; off by default, leaving the unbeamed exploration
-    byte-identical.
+    each expansion; off by default.
     """
-    best_cost = base.cost
+    best_cost = root.cost
     best_path: tuple[tuple[str, str], ...] = ()
-    local_seen = {base.signature}
+    local_seen = {root.signature}
     explored: list[tuple[str, float]] = []
     counter = itertools.count()
-    heap: list[
-        tuple[float, int, SearchState, tuple[tuple[str, str], ...]]
-    ] = [(base.cost, next(counter), base, ())]
+    heap = [(root.cost, next(counter), root, ())]
     expansions = 0
     while heap and expansions < group_cap:
         _, _, expanding, path = heapq.heappop(heap)
         expansions += 1
-        for swap in _group_swaps(expanding.workflow, members):
-            successor = expanding.try_successor(
-                swap, model, algorithm=algorithm
-            )
+        for pair, successor in successors(expanding):
             if successor is None or successor.signature in local_seen:
                 continue
             local_seen.add(successor.signature)
             explored.append((successor.signature, successor.cost))
-            successor_path = path + ((swap.first.id, swap.second.id),)
+            successor_path = path + (pair,)
             if successor.cost < best_cost:
                 best_cost = successor.cost
                 best_path = successor_path
@@ -755,27 +806,27 @@ def _explore_hermetic(
     return list(best_path), explored
 
 
-def _hill_climb_hermetic(
-    base: SearchState,
-    members: set[Activity],
-    model: CostModel,
-    algorithm: str = "HS-Greedy",
+def _hill_climb(
+    root, successors
 ) -> tuple[list[tuple[str, str]], list[tuple[str, float]]]:
-    """First-improvement hill climbing over a group's ordering (HS-Greedy)."""
-    current = base
+    """First-improvement hill climbing over a group's ordering (HS-Greedy).
+
+    Stops consuming ``successors`` at the first improvement, so later
+    swaps are neither priced nor recorded.
+    """
+    current = root
     path: list[tuple[str, str]] = []
     explored: list[tuple[str, float]] = []
     improved = True
     while improved:
         improved = False
-        for swap in _group_swaps(current.workflow, members):
-            successor = current.try_successor(swap, model, algorithm=algorithm)
+        for pair, successor in successors(current):
             if successor is None:
                 continue
             explored.append((successor.signature, successor.cost))
             if successor.cost < current.cost:
                 current = successor
-                path.append((swap.first.id, swap.second.id))
+                path.append(pair)
                 improved = True
                 break
     return path, explored

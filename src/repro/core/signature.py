@@ -42,22 +42,30 @@ def state_signature(workflow: ETLWorkflow) -> str:
     memo: dict[Node, str] = {}
     graph_pred = workflow.graph._pred
     for node in workflow.topological_order():
-        pred = graph_pred[node]
-        if not pred:
-            memo[node] = str(node.id)
-        elif len(pred) == 1:
-            (provider,) = pred
-            memo[node] = f"{memo[provider]}.{node.id}"
-        else:
-            if _is_commutative(node):
-                # Commutative ⇒ canonical branch order is lexicographic,
-                # so the port order of the providers is irrelevant.
-                branches = sorted(f"({memo[p]})" for p in pred)
-            else:
-                ordered = sorted(pred, key=lambda p: pred[p]["port"])
-                branches = [f"({memo[p]})" for p in ordered]
-            memo[node] = f"({'//'.join(branches)}).{node.id}"
-    targets = workflow.targets()
+        memo[node] = render_node(node, graph_pred[node], memo)
+    return join_targets(workflow.targets(), memo)
+
+
+def render_node(node: Node, pred: dict, memo: dict[Node, str]) -> str:
+    """One node's signature rendering from its providers' (``pred`` is
+    the node's networkx predecessor dict, ``memo`` holds the providers)."""
+    if not pred:
+        return str(node.id)
+    if len(pred) == 1:
+        (provider,) = pred
+        return f"{memo[provider]}.{node.id}"
+    if _is_commutative(node):
+        # Commutative ⇒ canonical branch order is lexicographic, so the
+        # port order of the providers is irrelevant.
+        branches = sorted(f"({memo[p]})" for p in pred)
+    else:
+        ordered = sorted(pred, key=lambda p: pred[p]["port"])
+        branches = [f"({memo[p]})" for p in ordered]
+    return f"({'//'.join(branches)}).{node.id}"
+
+
+def join_targets(targets: list, memo: dict[Node, str]) -> str:
+    """The state signature from its targets' renderings."""
     if len(targets) == 1:
         return memo[targets[0]]
     return "//".join(sorted(memo[target] for target in targets))

@@ -67,10 +67,14 @@ class Transition(abc.ABC):
             successor.validate()
             successor.propagate_schemas()
         except (WorkflowError, SchemaError) as exc:
-            raise TransitionError(
-                f"{self.describe()} produced an invalid state: {exc}"
-            ) from exc
+            raise self.invalid_state(exc) from exc
         return successor
+
+    def invalid_state(self, exc: ReproError) -> TransitionError:
+        """The error for a rewired state that fails validation."""
+        return TransitionError(
+            f"{self.describe()} produced an invalid state: {exc}"
+        )
 
     def try_apply(self, workflow: ETLWorkflow) -> ETLWorkflow | None:
         """Like :meth:`apply`, but returns ``None`` when inapplicable."""
@@ -131,9 +135,7 @@ class Transition(abc.ABC):
             successor.validate_incremental(workflow, affected)
             successor.propagate_schemas_incremental(workflow, affected)
         except (WorkflowError, SchemaError) as exc:
-            raise TransitionError(
-                f"{self.describe()} produced an invalid state: {exc}"
-            ) from exc
+            raise self.invalid_state(exc) from exc
         return successor
 
     def _apply_checked(self, workflow: ETLWorkflow) -> ETLWorkflow:

@@ -475,6 +475,20 @@ class ETLWorkflow:
         for node in tuple(dirty):
             for consumer in self.consumers(node):
                 dirty.add(consumer)
+        self.rederive(derived, dirty)
+        self._schema_cache = derived
+        return derived
+
+    def rederive(
+        self, derived: dict[Node, DerivedSchemas], dirty: set[Node]
+    ) -> None:
+        """The dirty walk: re-derive ``dirty`` nodes of ``derived`` in place.
+
+        Visits nodes in topological order; a node missing from
+        ``derived`` (created by a transition) is dirty too, and a node
+        whose schemas changed dirties its consumers.  Raises the first
+        :class:`~repro.exceptions.SchemaError` in topological order.
+        """
         for node in self.topological_order():
             if node not in derived:
                 dirty.add(node)  # created by the transition (clone/merge)
@@ -486,8 +500,6 @@ class ETLWorkflow:
             if old is None or fresh != old:
                 for consumer in self.consumers(node):
                     dirty.add(consumer)
-        self._schema_cache = derived
-        return derived
 
     def validate_incremental(
         self, parent: "ETLWorkflow", affected: tuple[Node, ...]

@@ -31,6 +31,27 @@ class TestSearchBudget:
         assert SearchBudget(jobs=-1).resolved_jobs() == (os.cpu_count() or 1)
 
 
+class TestHSConfig:
+    def test_group_cap_must_not_be_negative(self):
+        with pytest.raises(ReproError, match="group_cap"):
+            HSConfig(group_cap=-1)
+
+    def test_phase_state_cap_must_not_be_negative(self):
+        with pytest.raises(ReproError, match="phase_state_cap"):
+            HSConfig(phase_state_cap=-1)
+
+    def test_phase_iv_cap_must_not_be_negative(self):
+        # ranked[:-1] would silently skip the costliest recorded state.
+        with pytest.raises(ReproError, match="phase_iv_cap"):
+            HSConfig(phase_iv_cap=-1)
+
+    def test_zero_stays_valid(self):
+        # bench_ablation_phases runs "HS without Phase I" as group_cap=0.
+        config = HSConfig(group_cap=0, phase_state_cap=0, phase_iv_cap=0)
+        result = optimize(fig1_workflow().workflow, "hs", config=config)
+        assert result.completed
+
+
 class TestBudgetAcceptedEverywhere:
     @pytest.mark.parametrize("algorithm", ["es", "hs", "greedy", "sa"])
     def test_all_four_algorithms_take_budget(self, algorithm):

@@ -3,7 +3,10 @@
 Each search step applies a transition once, on the fast path; a rejected
 step records that exception's message as its reason.  The message must be
 the one the slow twin ``Transition.apply`` raises for the same transition
-on the same state, and the log must not depend on ``jobs``.
+on the same state, and the log must not depend on ``jobs``.  HS prices
+its group swaps with the group kernel, which never calls ``apply_fast``:
+there the whole log must equal the ``REPRO_FULL_RECOST`` run's, where
+every group rejection comes from ``Transition.apply``.
 """
 
 from collections import Counter
@@ -11,6 +14,7 @@ from collections import Counter
 import pytest
 
 from repro import SearchBudget, optimize
+from repro.core import flags
 from repro.core.transitions.base import Transition
 from repro.exceptions import ReproError
 from repro.obs import TRANSITION_EVENT, Recorder, use_recorder
@@ -53,6 +57,13 @@ def _fast_path_rejections(decisions):
 def test_rejection_reason_is_the_slow_path_message(
     monkeypatch, algorithm, workload
 ):
+    twin = None
+    if algorithm == "hs":
+        previous = flags.set_full_recost(True)
+        try:
+            twin = _decisions(_workflow(workload), algorithm)
+        finally:
+            flags.set_full_recost(previous)
     raised = []
     fast = Transition.apply_fast
 
@@ -74,13 +85,22 @@ def test_rejection_reason_is_the_slow_path_message(
     rejected = [event for event in decisions if not event["accepted"]]
     assert rejected, "the corpus must exercise rejections"
     assert all(event["reason"] for event in rejected)
-    assert raised
+    # HS rejects nothing outside its groups on fig1.
+    assert raised or (algorithm, workload) == ("hs", "fig1")
     for description, fast_message, slow_message in raised:
         assert fast_message == slow_message, description
-    assert _fast_path_rejections(decisions) == [
+    intercepted = [
         (description, fast_message)
         for description, fast_message, _ in raised
     ]
+    if twin is None:
+        assert _fast_path_rejections(decisions) == intercepted
+        return
+    assert decisions == twin
+    # Phase II/III transitions still go through apply_fast: their
+    # rejections appear in the log, in order, among the group rejections.
+    remaining = iter(_fast_path_rejections(decisions))
+    assert all(rejection in remaining for rejection in intercepted)
 
 
 @pytest.mark.parametrize("workload", ["fig1", "tiny"])

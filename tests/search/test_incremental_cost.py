@@ -16,7 +16,8 @@ Three layers:
   light);
 * one pinned regression case per transition kind;
 * the ``repro.core.flags`` debug modes round-tripping through
-  :meth:`SearchState.try_successor` without changing the outcome.
+  :meth:`SearchState.try_successor` and whole HS runs without changing
+  the outcome.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import heuristic_search
 from repro.core import flags
 from repro.core.cost import (
     LinearCostModel,
@@ -181,6 +183,16 @@ class TestPerKindRegression:
         _assert_reports_equal(delta, estimate(unmerged, model))
 
 
+def _hs_outcome(workflow, greedy):
+    result = heuristic_search(workflow.copy(), greedy=greedy)
+    return (
+        result.best.signature,
+        result.best.cost,
+        result.visited_states,
+        [step.to_dict() for step in result.lineage],
+    )
+
+
 class TestDebugFlags:
     """REPRO_FULL_RECOST / REPRO_COST_ORACLE change nothing but speed."""
 
@@ -217,6 +229,22 @@ class TestDebugFlags:
         previous = flag_setter(True)
         try:
             assert self._successors(workflow, model) == baseline
+        finally:
+            flag_setter(previous)
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    @pytest.mark.parametrize("flag_setter", [
+        flags.set_full_recost,
+        flags.set_cost_oracle,
+    ])
+    def test_flag_round_trip_preserves_hs(self, flag_setter, greedy):
+        # The flags cover HS group exploration too: the twin replaces the
+        # group kernel (full recost) or cross-checks it (oracle).
+        workflow = _workflow("small", 0)
+        baseline = _hs_outcome(workflow, greedy)
+        previous = flag_setter(True)
+        try:
+            assert _hs_outcome(workflow, greedy) == baseline
         finally:
             flag_setter(previous)
 
