@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes (default: 1 = serial; 0 = one per CPU)",
+        help="worker processes; es ignores it (default: 1; 0 = one per CPU)",
     )
     cmd_optimize.add_argument(
         "--cache-dir",
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes (default: 1 = serial; 0 = one per CPU)",
+        help="worker processes; es ignores it (default: 1; 0 = one per CPU)",
     )
     cmd_explain.add_argument(
         "--cache-dir", default=None, help="transposition-cache directory"

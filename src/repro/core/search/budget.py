@@ -10,8 +10,9 @@ accepted (as ``budget=``) by :func:`~repro.optimize`,
 Besides the two stopping criteria it carries the two *execution* knobs the
 parallel engine introduces:
 
-* ``jobs`` — worker processes for the parallel search paths (``1`` =
-  serial, ``<= 0`` = one per CPU);
+* ``jobs`` — worker processes for HS/HS-Greedy group exploration and
+  the SA chain portfolio (``1`` = serial, ``<= 0`` = one per CPU); ES
+  ignores it;
 * ``cache`` — the transposition-cache specification, see
   :meth:`~repro.core.search.transposition.TranspositionCache.resolve`.
 
@@ -46,9 +47,11 @@ class SearchBudget:
             (signature-deduplicated); the run reports ``completed=False``.
         max_seconds: wall-clock budget; best-so-far is returned with
             ``completed=False`` when it trips.
-        jobs: worker processes for the parallel execution layer.  ``1``
-            (the default) keeps every algorithm on its serial path;
-            values ``<= 0`` mean "one worker per CPU".
+        jobs: worker processes for HS/HS-Greedy local-group exploration
+            (same result for any value) and the SA chain portfolio (one
+            chain per job).  ES ignores it.  ``1`` (the default) keeps
+            every algorithm on its serial path; values ``<= 0`` mean
+            "one worker per CPU".
         cache: transposition-cache specification — ``None``/``False`` for
             a run-local in-memory cache, ``True`` for the default on-disk
             location (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), a
@@ -60,9 +63,9 @@ class SearchBudget:
             (the default) reproduces the unbeamed exploration exactly.
         prune_dominated: ES only — drop generated states whose dominance
             class already holds a state at least as cheap from the
-            frontier (serial and wave-parallel ES alike).  A heuristic —
-            it may change budget-truncated outcomes, never the cost of a
-            state it keeps; on completed spaces the optimum is unchanged.
+            frontier.  A heuristic — it may change budget-truncated
+            outcomes, never the cost of a state it keeps; on completed
+            spaces the optimum is unchanged.
     """
 
     max_states: int | None = None

@@ -10,6 +10,10 @@ and large workflows; our implementation accepts explicit ``max_states`` /
 ``max_seconds`` budgets and reports ``completed=False`` with the best
 state found when a budget trips, mirroring that methodology.
 
+ES is one serial loop: it expands one state at a time, so a budgeted run
+returns the same best-so-far for any ``SearchBudget.jobs`` (which it
+ignores, reporting ``jobs=1``).
+
 ``SearchBudget.prune_dominated`` shrinks the frontier with
 :func:`dominance_class`: two states whose local groups contain the same
 activities in different *orders* are mutually reachable by in-group
@@ -87,7 +91,6 @@ def dominance_class(workflow: ETLWorkflow) -> str:
     return "//".join(sorted(memo[target] for target in targets))
 
 
-
 def exhaustive_search(
     workflow: ETLWorkflow,
     model: CostModel | None = None,
@@ -106,13 +109,12 @@ def exhaustive_search(
     Args:
         workflow: the initial state ``S0``.
         model: cost model; defaults to the paper's processed-rows model.
-        budget: uniform :class:`SearchBudget`; with ``jobs != 1`` the
-            frontier expands in parallel waves (see
-            :func:`~repro.core.search.parallel.parallel_exhaustive`).
-            ``budget.cache`` memoizes state costs so warm re-runs skip
-            re-costing.
-        pool: optional shared worker pool (see
-            :func:`~repro.core.search.parallel.optimize_many`).
+        budget: uniform :class:`SearchBudget`; ``budget.cache`` memoizes
+            state costs so warm re-runs skip re-costing.  ``jobs`` and
+            ``beam_width`` are ignored.
+        pool: ignored; accepted because
+            :func:`~repro.core.search.parallel.run_search` calls every
+            algorithm with the same keywords.
 
     Returns:
         An :class:`OptimizationResult` whose ``completed`` flag records
@@ -120,12 +122,6 @@ def exhaustive_search(
     """
     model = model if model is not None else ProcessedRowsCostModel()
     budget = budget if budget is not None else SearchBudget()
-
-    if budget.resolved_jobs() > 1:
-        from repro.core.search.parallel import parallel_exhaustive
-
-        return parallel_exhaustive(workflow, model, budget, pool=pool)
-
     cache, owned_cache = TranspositionCache.resolve(budget.cache)
     hits_before = cache.hits
     started = time.perf_counter()

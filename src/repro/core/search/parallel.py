@@ -1,7 +1,7 @@
 """Process-pool execution layer for the search algorithms, plus the
 batch driver that amortizes pool and cache across many workflows.
 
-Three parallelization schemes, matched to the structure of each search
+Two parallelization schemes, matched to the structure of each search
 (Liu's shared-caching + parallel-partitions recipe for ETL dataflows):
 
 * **HS / HS-Greedy** — Phase I/IV local-group exploration is
@@ -9,15 +9,16 @@ Three parallelization schemes, matched to the structure of each search
   deterministically in group order by the main process (see
   :mod:`repro.core.search.heuristic`), so parallel runs return
   byte-identical best states and visited counts to serial ones.
-* **ES** — wave expansion: the ``_WAVE`` cheapest frontier states are
-  popped together and their successor generation/costing fans out across
-  workers; the main process merges children in pop-order × enumeration
-  order.  The wave size is constant (independent of ``jobs``), so runs
-  that complete the space agree with serial ES on the explored set.
 * **SA** — multi-chain annealing: ``jobs`` independent seeded chains run
   concurrently and the best endpoint wins (ties to the lowest chain
   index); a classic restart portfolio that trades extra CPU for a better
-  chance of escaping local minima.
+  chance of escaping local minima.  It is the one search whose answer
+  depends on ``jobs``.
+
+ES has no parallel path.  Its frontier is not a set of independent
+partitions: each expansion changes which state is cheapest next, so
+expanding several states at once changes the plan a budgeted run
+returns.  ES ignores ``jobs`` and reports ``jobs=1``.
 
 All tasks are pure functions of picklable inputs.  A payload the pool
 cannot ship (say, a closure-based cost model) or a pool-infrastructure
@@ -37,7 +38,6 @@ executor reuses the same pool for its shard fan-out
 
 from __future__ import annotations
 
-import heapq
 import pickle
 import threading
 import time
@@ -48,16 +48,14 @@ from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_all_start_methods, get_context
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.core.cost.model import CostModel, ProcessedRowsCostModel
+from repro.core.cost.model import CostModel
 from repro.core.search.annealing import annealing_search
 from repro.core.search.budget import SearchBudget
-from repro.core.search.exhaustive import dominance_class, exhaustive_search
+from repro.core.search.exhaustive import exhaustive_search
 from repro.core.search.greedy import greedy_search
 from repro.core.search.heuristic import heuristic_search
 from repro.core.search.result import OptimizationResult
-from repro.core.search.state import SearchState
 from repro.core.search.transposition import TranspositionCache
-from repro.core.transitions.enumerate import candidate_transitions
 from repro.core.workflow import ETLWorkflow
 from repro.exceptions import ReproError
 from repro.obs import (
@@ -75,10 +73,6 @@ __all__ = [
     "run_search",
     "optimize_many",
 ]
-
-#: Frontier states expanded per ES wave — constant, NOT scaled with
-#: ``jobs``, so the traversal order does not depend on the worker count.
-_WAVE = 16
 
 #: One registry for every accepted algorithm spelling.
 ALGORITHMS: dict[str, Callable[..., OptimizationResult]] = {
@@ -310,152 +304,6 @@ class WorkerPool:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-# -- ES: parallel wave expansion ---------------------------------------------------------
-
-
-def _expand_task(
-    args: tuple[SearchState, CostModel, bool, str | None],
-) -> tuple[list[SearchState], list[dict]]:
-    """Generate and cost every successor of one state (pure).
-
-    Returns the successors plus the task's telemetry buffer — workers ship
-    their span/counter events back with the expansion so the parent merges
-    them in deterministic pop order.  The shipped trace id (if any) rides
-    along so worker spans carry the originating request's ``trace`` tag
-    at the source, not just after absorb-side stamping.
-    """
-    state, model, telemetry, trace = args
-    local = Recorder() if telemetry else NULL_RECORDER
-    successors: list[SearchState] = []
-    with use_recorder(local), local.trace(trace):
-        with local.span("search.es.expand"):
-            for transition in candidate_transitions(state.workflow):
-                successor = state.try_successor(
-                    transition, model, algorithm="ES"
-                )
-                if successor is not None:
-                    successors.append(successor)
-    return successors, local.events()
-
-
-def parallel_exhaustive(
-    workflow: ETLWorkflow,
-    model: CostModel | None,
-    budget: SearchBudget,
-    pool: WorkerPool | None = None,
-) -> OptimizationResult:
-    """Best-first ES with wave-parallel frontier expansion.
-
-    Completed runs explore exactly the serial algorithm's (finite,
-    signature-deduplicated) space; budget-truncated runs may cut the
-    frontier at a different point than serial ES would.
-    """
-    model = model if model is not None else ProcessedRowsCostModel()
-    cache, owned_cache = TranspositionCache.resolve(budget.cache)
-    hits_before = cache.hits
-    jobs = budget.resolved_jobs()
-    owned_pool = pool is None
-    if owned_pool:
-        pool = WorkerPool(jobs)
-    started = time.perf_counter()
-    try:
-        initial = SearchState.initial(workflow, model)
-        ns = cache.namespace(initial.workflow, model)
-        ns.put_cost(initial.signature, initial.cost)
-        seen: set[str] = {initial.signature}
-        heap: list[tuple[float, str, SearchState]] = [
-            (initial.cost, initial.signature, initial)
-        ]
-        best = initial
-        completed = True
-        # Pruning runs entirely in the main process (wave selection and
-        # child merge), so worker count never changes what gets pruned.
-        class_best: dict[str, float] | None = None
-        if budget.prune_dominated:
-            class_best = {dominance_class(initial.workflow): initial.cost}
-        pruned_dominated = 0
-
-        def budget_tripped() -> bool:
-            if budget.max_states is not None and len(seen) >= budget.max_states:
-                return True
-            if budget.max_seconds is not None:
-                return time.perf_counter() - started > budget.max_seconds
-            return False
-
-        recorder = get_recorder()
-        while heap:
-            if budget_tripped():
-                completed = False
-                break
-            wave: list[tuple[float, str, SearchState]] = []
-            while heap and len(wave) < _WAVE:
-                wave.append(heapq.heappop(heap))
-            with recorder.span(
-                "search.es.wave", states=len(wave), algorithm="ES"
-            ):
-                expansions = pool.map(
-                    _expand_task,
-                    [
-                        (
-                            state,
-                            model,
-                            recorder.active,
-                            recorder.current_trace_id(),
-                        )
-                        for _, _, state in wave
-                    ],
-                )
-                for _, events in expansions:
-                    recorder.absorb(events)
-            for successors, _ in expansions:
-                for successor in successors:
-                    if successor.signature in seen:
-                        continue
-                    seen.add(successor.signature)
-                    ns.put_cost(successor.signature, successor.cost)
-                    if successor.cost < best.cost:
-                        best = successor
-                    if class_best is not None:
-                        cls = dominance_class(successor.workflow)
-                        prior = class_best.get(cls)
-                        if prior is not None and prior <= successor.cost:
-                            pruned_dominated += 1
-                            continue
-                        class_best[cls] = successor.cost
-                    heapq.heappush(
-                        heap, (successor.cost, successor.signature, successor)
-                    )
-                    if (
-                        budget.max_states is not None
-                        and len(seen) >= budget.max_states
-                    ):
-                        completed = False
-                        break
-                if not completed:
-                    break
-            if not completed:
-                break
-
-        if recorder.active and pruned_dominated:
-            recorder.counter("search.pruned_dominated").add(pruned_dominated)
-        return OptimizationResult(
-            algorithm="ES",
-            initial=initial,
-            best=best,
-            visited_states=len(seen),
-            elapsed_seconds=time.perf_counter() - started,
-            completed=completed,
-            cache_hits=cache.hits - hits_before,
-            jobs=jobs,
-            lineage=best.lineage,
-        )
-    finally:
-        if owned_pool:
-            pool.close()
-        if owned_cache:
-            cache.flush()
 
 
 # -- SA: multi-chain portfolio -----------------------------------------------------------

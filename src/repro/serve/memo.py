@@ -10,9 +10,11 @@ everything the answer depends on —
     workflow fingerprint × cost model × algorithm × budget knobs
 
 — and a repeat request replays the stored payload.  ``jobs`` is
-deliberately **excluded** from the key: the engine's jobs=N runs are
+**excluded** from the key for ES, HS and HS-Greedy: their jobs=N runs are
 byte-identical to serial, so a result computed at any worker count
-answers a request at any other.  Stopping and pruning knobs
+answers a request at any other.  SA is the exception: it runs one chain
+per job and keeps the best endpoint, so its key carries the effective
+``jobs``.  Stopping and pruning knobs
 (``max_states``/``max_seconds``/``beam_width``/``prune_dominated``) are
 all **included**: they change which state the search returns, so each
 combination memoizes separately.
@@ -28,6 +30,7 @@ from collections import OrderedDict
 from typing import Any
 
 from repro.core.search.budget import SearchBudget
+from repro.core.search.parallel import ALGORITHMS
 
 __all__ = ["ResultMemo", "memo_key"]
 
@@ -47,18 +50,21 @@ def memo_key(
     ``fingerprint`` is :func:`~repro.core.signature.workflow_fingerprint`
     of the submitted workflow — a content hash, so two tenants submitting
     the same workflow share one entry (results carry no tenant data).
+    ``algorithm`` is any spelling :data:`ALGORITHMS` accepts.
     """
-    return "|".join(
-        (
-            fingerprint,
-            model,
-            algorithm.lower(),
-            f"states={budget.max_states}",
-            f"seconds={budget.max_seconds}",
-            f"beam={budget.beam_width}",
-            f"dominated={budget.prune_dominated}",
-        )
-    )
+    canonical = ALGORITHMS[algorithm.lower()].__name__.removesuffix("_search")
+    parts = [
+        fingerprint,
+        model,
+        canonical,
+        f"states={budget.max_states}",
+        f"seconds={budget.max_seconds}",
+        f"beam={budget.beam_width}",
+        f"dominated={budget.prune_dominated}",
+    ]
+    if canonical == "annealing":
+        parts.append(f"jobs={budget.resolved_jobs()}")
+    return "|".join(parts)
 
 
 class ResultMemo:

@@ -26,9 +26,11 @@ produced.
 
 Progress streaming rides the obs layer: each request runs under a
 private :class:`~repro.obs.Recorder` whose ``on_span`` hook forwards
-finished ``search.*`` spans to the client as ``event`` lines, and whose
-full buffer is absorbed into the daemon's recorder for ``stats`` and
-``--telemetry``.
+finished ``search.*`` spans to the client as ``event`` lines.  The
+daemon's own recorder absorbs only the request's counters, gauges and
+histograms (for ``stats``, ``metrics`` and ``--telemetry``); its span
+tree goes to the bounded exemplar rings, so the daemon's telemetry does
+not grow with the number of requests served.
 
 Production observability is three planes on top of that substrate:
 
@@ -40,7 +42,7 @@ Production observability is three planes on top of that substrate:
 * **traces** — every request gets a ``trace_id`` (returned in its
   envelope) stamped onto all spans the request records, including
   worker-process buffers shipped back through the pool, so one
-  request's tree is reassemblable from the daemon's mixed stream
+  request's tree is reassemblable from a mixed stream
   (``repro report --trace ID``);
 * **exemplars** — a bounded ring of the slowest and most recently
   failed requests keeps full span trees for post-hoc p99 diagnosis
@@ -91,6 +93,11 @@ __all__ = ["ServeConfig", "OptimizerServer", "BackgroundServer"]
 #: ``StreamReader`` limit is 64 KiB — a workflow of ~270 activities).  A
 #: longer line is answered ``too-large`` and its connection closed.
 MAX_REQUEST_BYTES = 4 * 1024 * 1024
+
+#: The event types a request's recorder hands to the daemon-lifetime
+#: recorder: they merge into fixed-size registries.  Spans and structured
+#: events (the decision log) would accumulate per request.
+_INSTRUMENTS = frozenset({"counter", "gauge", "histogram"})
 
 
 @dataclass(frozen=True)
@@ -161,8 +168,10 @@ class OptimizerServer:
         self.config = config if config is not None else ServeConfig()
         self.memo = ResultMemo(self.config.memo_capacity)
         self.queue = JobQueue(self.config.queue_size, self.config.tenant)
-        #: The daemon's own telemetry (stats source); absorbed into any
-        #: outer --telemetry recorder at shutdown.
+        #: The daemon's own instruments (stats and metrics source):
+        #: counters, gauges and histograms only — request span trees live
+        #: in :attr:`exemplars`.  Both are absorbed into any outer
+        #: --telemetry recorder at shutdown.
         self.recorder = Recorder()
         self.exemplars = ExemplarStore(self.config.exemplar_capacity)
         self.cache: TranspositionCache | None = None
@@ -270,6 +279,9 @@ class OptimizerServer:
         outer = get_recorder()
         if outer.active:
             outer.absorb(self.recorder.events())
+            snapshot = self.exemplars.snapshot()
+            for exemplar in snapshot["slowest"] + snapshot["failed"]:
+                outer.absorb(exemplar["spans"])
 
     def _join_workers(self) -> None:
         for thread in self._threads:
@@ -440,9 +452,8 @@ class OptimizerServer:
             )
         effective = self.queue.policy.clamp(requested, self.config.max_jobs)
         fingerprint = workflow_fingerprint(workflow)
-        canonical = ALGORITHMS[algorithm].__name__.removesuffix("_search")
         key = memo_key(
-            fingerprint, model_key(model_name), canonical, effective
+            fingerprint, model_key(model_name), algorithm, effective
         )
         trace_id = new_trace_id()
         lookup_started = time.monotonic()
@@ -617,7 +628,7 @@ class OptimizerServer:
             latency = time.monotonic() - payload["accepted_at"]
             self.recorder.counter("serve.errors").add()
             events = local.events()
-            self.recorder.absorb(events)
+            self._absorb_instruments(events)
             self._observe_request(queued_seconds, None, latency)
             self.exemplars.record(
                 self._exemplar(
@@ -647,7 +658,7 @@ class OptimizerServer:
         self.memo.put(payload["memo_key"], serialized)
         latency = time.monotonic() - payload["accepted_at"]
         events = local.events()
-        self.recorder.absorb(events)
+        self._absorb_instruments(events)
         self._observe_request(queued_seconds, search_seconds, latency)
         self.exemplars.record(
             self._exemplar(
@@ -670,6 +681,11 @@ class OptimizerServer:
                 latency=latency,
                 trace_id=trace_id,
             )
+        )
+
+    def _absorb_instruments(self, events: list[dict[str, Any]]) -> None:
+        self.recorder.absorb(
+            [event for event in events if event["type"] in _INSTRUMENTS]
         )
 
     def _observe_request(

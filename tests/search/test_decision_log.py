@@ -9,8 +9,6 @@ there the whole log must equal the ``REPRO_FULL_RECOST`` run's, where
 every group rejection comes from ``Transition.apply``.
 """
 
-from collections import Counter
-
 import pytest
 
 from repro import SearchBudget, optimize
@@ -103,23 +101,9 @@ def test_rejection_reason_is_the_slow_path_message(
     assert all(rejection in remaining for rejection in intercepted)
 
 
+@pytest.mark.parametrize("algorithm", ["hs", "es"])
 @pytest.mark.parametrize("workload", ["fig1", "tiny"])
-def test_hs_decision_log_is_jobs_independent(workload):
-    serial = _decisions(_workflow(workload), "hs", jobs=1)
-    parallel = _decisions(_workflow(workload), "hs", jobs=2)
+def test_decision_log_is_jobs_independent(workload, algorithm):
+    serial = _decisions(_workflow(workload), algorithm, jobs=1)
+    parallel = _decisions(_workflow(workload), algorithm, jobs=2)
     assert parallel == serial
-
-
-@pytest.mark.parametrize("workload", ["fig1", "tiny"])
-def test_es_rejections_are_jobs_independent(workload):
-    # Serial ES dedups each successor before costing it; the wave
-    # expansion dedups in the parent after the workers cost it.  So the
-    # two logs order and label duplicates differently, but a completed
-    # run considers the same transitions and rejects the same ones for
-    # the same reasons.
-    serial = _decisions(_workflow(workload), "es", jobs=1)
-    parallel = _decisions(_workflow(workload), "es", jobs=2)
-    assert len(parallel) == len(serial)
-    assert Counter(_fast_path_rejections(parallel)) == Counter(
-        _fast_path_rejections(serial)
-    )

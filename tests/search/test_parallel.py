@@ -1,10 +1,10 @@
 """Parallel == serial determinism, the worker pool, and the batch driver.
 
-The tentpole contract: for any jobs value, HS returns a byte-identical
-best state and visited count, because group explorations are hermetic and
-their outcomes are merged deterministically in group order by the main
-process.  Warm transposition-cache runs replay the same streams and agree
-too.
+The contract: for any jobs value, HS returns a byte-identical best state
+and visited count, because group explorations are hermetic and their
+outcomes are merged deterministically in group order by the main
+process; ES ignores jobs.  Warm transposition-cache runs replay the same
+streams and agree too.
 """
 
 from __future__ import annotations
@@ -73,22 +73,36 @@ class TestHSDeterminism:
         assert parallel.visited_states == serial.visited_states
 
 
-class TestESParallel:
-    def test_completed_wave_run_matches_serial(self):
-        serial = exhaustive_search(fig1_workflow().workflow)
-        parallel = exhaustive_search(
-            fig1_workflow().workflow, budget=SearchBudget(jobs=4)
-        )
-        assert serial.completed and parallel.completed
-        assert parallel.best.signature == serial.best.signature
-        assert parallel.best.cost == serial.best.cost
-        assert parallel.visited_states == serial.visited_states
+class TestESJobs:
+    @pytest.mark.parametrize(
+        "category, seed",
+        [("fig1", None), ("small", 0), ("small", 1), ("medium", 0)],
+        ids=["fig1", "small-0", "small-1", "medium-0"],
+    )
+    def test_jobs_do_not_change_the_result(self, category, seed):
+        """ES expands one state at a time for any jobs value: fig1's space
+        is exhausted, and the generated workloads stop at the same
+        best-so-far when max_states=300 trips."""
 
-    def test_max_states_truncates(self):
-        result = exhaustive_search(
-            fig1_workflow().workflow, budget=SearchBudget(max_states=5, jobs=2)
-        )
-        assert not result.completed
+        def run(jobs):
+            if category == "fig1":
+                workflow, max_states = fig1_workflow().workflow, None
+            else:
+                workflow = generate_workload(category, seed=seed).workflow
+                max_states = 300
+            return exhaustive_search(
+                workflow, budget=SearchBudget(max_states=max_states, jobs=jobs)
+            )
+
+        serial, parallel = run(1), run(2)
+        assert serial.completed is (category == "fig1")
+        for result in (serial, parallel):
+            assert result.jobs == 1
+        assert parallel.best.cost == serial.best.cost
+        assert parallel.best.signature == serial.best.signature
+        assert parallel.lineage == serial.lineage
+        assert parallel.visited_states == serial.visited_states
+        assert parallel.completed == serial.completed
 
 
 class TestSAMultiChain:
@@ -148,19 +162,6 @@ class TestTelemetryDeterminism:
         assert names(parallel_recorder) == names(serial_recorder)
         assert counters(parallel_recorder) == counters(serial_recorder)
 
-    def test_es_waves_record_spans_with_identical_output(self):
-        recorder = Recorder()
-        with use_recorder(recorder):
-            traced = exhaustive_search(
-                fig1_workflow().workflow, budget=SearchBudget(jobs=2)
-            )
-        plain = exhaustive_search(fig1_workflow().workflow)
-        assert traced.best.signature == plain.best.signature
-        assert traced.visited_states == plain.visited_states
-        names = {e["name"] for e in recorder.events() if e["type"] == "span"}
-        assert "search.es.wave" in names
-        assert "search.es.expand" in names
-
 
 class TestWarmCache:
     def test_warm_run_replays_identically_with_hits(self, tmp_path):
@@ -204,7 +205,7 @@ class TestOptimizeMany:
     def test_batch_accepts_jobs(self):
         workflows = [fig1_workflow().workflow]
         (result,) = optimize_many(
-            workflows, algorithm="es", budget=SearchBudget(jobs=2)
+            workflows, algorithm="hs", budget=SearchBudget(jobs=2)
         )
         assert result.completed
         assert result.jobs == 2

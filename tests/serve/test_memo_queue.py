@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import threading
 
 import pytest
@@ -21,6 +22,19 @@ class TestMemoKey:
         serial = memo_key("fp", "processed_rows", "hs", SearchBudget(jobs=1))
         parallel = memo_key("fp", "processed_rows", "hs", SearchBudget(jobs=8))
         assert serial == parallel
+
+    def test_sa_keys_on_the_effective_jobs(self):
+        # SA runs one chain per job and keeps the best endpoint, so its
+        # answer depends on jobs; every spelling keys the same way.
+        def key(algorithm, jobs):
+            budget = SearchBudget(jobs=jobs)
+            return memo_key("fp", "processed_rows", algorithm, budget)
+
+        assert key("sa", 1) != key("sa", 2)
+        assert key("sa", 2) == key("annealing", 2) == key("SA", 2)
+        assert key("sa", 0) == key("sa", os.cpu_count() or 1)
+        for algorithm in ("es", "hs", "greedy"):
+            assert key(algorithm, 1) == key(algorithm, 2)
 
     @pytest.mark.parametrize(
         "knob",

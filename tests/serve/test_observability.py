@@ -12,11 +12,14 @@ Three planes under test against a real daemon:
   and most recently failed requests with their full span trees.
 
 Observability must never change answers: the trace test re-checks that a
-served ``jobs=2`` result is byte-identical to a direct optimize.
+served ``jobs=2`` result is byte-identical to a direct optimize.  And it
+must stay bounded: the daemon-lifetime recorder keeps instruments only,
+while request span trees live in the exemplar rings.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import urllib.error
 import urllib.request
@@ -24,7 +27,14 @@ import urllib.request
 import pytest
 
 from repro import SearchBudget, optimize
-from repro.obs import CONTENT_TYPE, Recorder, filter_trace, render_trace, run_top
+from repro.obs import (
+    CONTENT_TYPE,
+    Recorder,
+    filter_trace,
+    render_trace,
+    run_top,
+    set_recorder,
+)
 from repro.serve import (
     BackgroundServer,
     ExemplarStore,
@@ -199,13 +209,13 @@ class TestTraceEndToEnd:
         plus a sharded engine run compose a single span tree under one
         trace id, with byte-identical results throughout."""
         budget = {"max_states": 300, "jobs": 2}
-        reply = _optimize_once(server, seed=0, algorithm="es", budget=budget)
+        reply = _optimize_once(server, seed=0, algorithm="hs", budget=budget)
         trace_id = reply["trace_id"]
         assert trace_id
 
         # Byte-identity first: observability never changes the answer.
         direct = optimize(
-            _workflow(seed=0), "es",
+            _workflow(seed=0), "hs",
             budget=SearchBudget(max_states=300, jobs=2),
         )
         expected = result_to_dict(direct)
@@ -246,12 +256,17 @@ class TestTraceEndToEnd:
         assert {"serve.request", "serve.queue_wait", "serve.search"} <= names
 
         # Worker-process spans crossed the pool boundary: their ids are
-        # absorb-namespaced and they still carry the trace id.
+        # absorb-namespaced, carry the worker's pid, and still carry the
+        # trace id.
         worker_spans = [
             s for s in spans if re.match(r"w\d+:", s["span_id"])
         ]
         assert worker_spans, "no worker spans shipped back"
-        assert any(s["name"] == "search.es.expand" for s in worker_spans)
+        assert any(
+            s["name"] == "search.group"
+            and not s["span_id"].split(":")[-1].startswith(f"{os.getpid()}-")
+            for s in worker_spans
+        )
 
         # Engine shards join the same trace: a sharded run performed
         # under the request's trace id tags its shard spans with it.
@@ -295,6 +310,45 @@ class TestTraceEndToEnd:
             warm = client.optimize(wf.copy(), "hs", budget=BUDGET)
         assert warm["served_from"] == "memo"
         assert warm["trace_id"] and warm["trace_id"] != cold["trace_id"]
+
+
+class TestDaemonRecorder:
+    def test_keeps_instruments_and_leaves_trees_to_the_exemplars(self):
+        with BackgroundServer(ServeConfig(exemplar_capacity=8)) as background:
+            replies = [_optimize_once(background, seed=s) for s in range(3)]
+            with background.client() as client:
+                counters = client.stats()["counters"]
+                snapshot = client.exemplars()
+            kinds = {e["type"] for e in background.server.recorder.events()}
+        assert "histogram" in kinds
+        assert not kinds & {"span", "event"}
+        assert any(name.startswith("search.transitions[") for name in counters)
+        trees = {e["trace_id"]: e["spans"] for e in snapshot["slowest"]}
+        for reply in replies:
+            names = {span["name"] for span in trees[reply["trace_id"]]}
+            assert {"serve.request", "search.phase", "search.group"} <= names
+
+    def test_shutdown_hands_the_exemplar_trees_to_telemetry(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        outer = Recorder()
+        previous = set_recorder(outer)
+        try:
+            with BackgroundServer(ServeConfig()) as background:
+                reply = _optimize_once(background, seed=1)
+        finally:
+            set_recorder(previous)
+        events = outer.events()
+        counters = {e["name"] for e in events if e["type"] == "counter"}
+        assert "search.transitions" in counters
+        jsonl = str(tmp_path / "serve.jsonl")
+        outer.flush_jsonl(jsonl)
+        assert main(["report", jsonl, "--trace", reply["trace_id"]]) == 0
+        out = capsys.readouterr().out
+        assert out.count("serve.request") == 1
+        assert "search.group" in out
 
 
 class TestTopLive:

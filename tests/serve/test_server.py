@@ -40,6 +40,20 @@ def _workflow(seed: int = 0):
     return generate_workload("tiny", seed=seed).workflow
 
 
+#: The result fields a served answer must share with a direct run.
+RESULT_FIELDS = (
+    "best_cost",
+    "best_signature",
+    "best_workflow",
+    "initial_cost",
+    "initial_signature",
+    "lineage",
+    "visited_states",
+    "transition_mix",
+    "completed",
+)
+
+
 class TestDeterminism:
     def test_served_equals_direct_optimize(self, server):
         """Cost, plan and lineage match a direct in-process run exactly."""
@@ -50,17 +64,7 @@ class TestDeterminism:
             reply = client.optimize(_workflow(), "hs", budget=BUDGET)
         served = reply["result"]
         expected = result_to_dict(direct)
-        for field in (
-            "best_cost",
-            "best_signature",
-            "best_workflow",
-            "initial_cost",
-            "initial_signature",
-            "lineage",
-            "visited_states",
-            "transition_mix",
-            "completed",
-        ):
+        for field in RESULT_FIELDS:
             assert served[field] == expected[field], field
         # Byte-identical on the wire, not merely ==.
         assert encode(
@@ -88,6 +92,48 @@ class TestDeterminism:
         # jobs is excluded from the memo key: the second request hits.
         assert parallel["served_from"] == "memo"
         assert parallel["result"] == serial["result"]
+
+
+class TestJobsOnATwoJobDaemon:
+    """A jobs=1 request that follows a jobs=2 one for the same workflow
+    gets what a direct jobs=1 ``optimize()`` returns."""
+
+    @pytest.fixture(scope="class")
+    def two_job_server(self):
+        with BackgroundServer(ServeConfig(max_jobs=2)) as background:
+            yield background
+
+    def _serial_after_parallel(self, server, workflow, algorithm):
+        budget = {"max_states": 300}
+        with server.client() as client:
+            client.optimize(
+                workflow.copy(), algorithm, budget={**budget, "jobs": 2}
+            )
+            return client.optimize(
+                workflow.copy(), algorithm, budget={**budget, "jobs": 1}
+            )
+
+    def _assert_direct(self, reply, workflow, algorithm):
+        direct = result_to_dict(
+            optimize(
+                workflow.copy(), algorithm, budget=SearchBudget(max_states=300)
+            )
+        )
+        for field in (*RESULT_FIELDS, "jobs"):
+            assert reply["result"][field] == direct[field], field
+
+    def test_es_answer_does_not_depend_on_jobs(self, two_job_server):
+        # Truncated at 300 states, where the stopping point decides the plan.
+        workflow = generate_workload("medium", seed=0).workflow
+        reply = self._serial_after_parallel(two_job_server, workflow, "es")
+        assert reply["served_from"] == "memo"
+        self._assert_direct(reply, workflow, "es")
+
+    def test_sa_memo_keys_on_jobs(self, two_job_server):
+        workflow = generate_workload("small", seed=0).workflow
+        reply = self._serial_after_parallel(two_job_server, workflow, "sa")
+        assert reply["served_from"] == "search"
+        self._assert_direct(reply, workflow, "sa")
 
 
 class TestMemoLatency:
