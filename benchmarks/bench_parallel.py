@@ -15,8 +15,6 @@ Records the parallel engine's acceptance numbers in ``BENCH_parallel.json``:
 * the incremental fast path against its ``REPRO_FULL_RECOST`` slow twin
   (same budget, byte-identical result required) — the ISSUE 6 headline
   speedup;
-* the HS pruning knob (``beam_width=8``): visited volume, wall-clock and
-  best cost;
 * the telemetry-overhead pair: the same cold serial search with a live
   :class:`Recorder` vs the ``NULL_RECORDER``, byte-identical result
   required; the delta is recorded as informational, never gated.
@@ -343,23 +341,6 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return 1
 
-    # The HS pruning knob.  The beam is lossy by design, so its cost is
-    # recorded (and gated against its own baseline) but not checked here.
-    seconds, beamed = _run(
-        args.category, args.seed, SearchBudget(beam_width=8)
-    )
-    modes = {
-        "beam8": {
-            "seconds": round(seconds, 4),
-            "visited_states": beamed.visited_states,
-            "best_cost": beamed.best.cost,
-            "best_cost_identical": beamed.best.cost == serial.best.cost,
-        }
-    }
-    print(f"  beam8   {seconds:7.2f}s  visited={beamed.visited_states}  "
-          f"best={beamed.best.cost:.0f}  "
-          f"identical={modes['beam8']['best_cost_identical']}")
-
     # Provenance check: the winning lineage must replay to the reported
     # best state, and the payload records its shape for the diff gate.
     replay = verify_lineage(serial)
@@ -384,7 +365,6 @@ def main(argv: list[str] | None = None) -> int:
         "runs": runs,
         "engine": engine,
         "full_recost": full_recost,
-        "modes": modes,
         "cache": {
             "cold_seconds": round(cold_seconds, 4),
             "warm_seconds": round(warm_seconds, 4),

@@ -109,8 +109,8 @@ def optimize(
         model: cost model; defaults to the paper's processed-rows model.
         budget: uniform :class:`SearchBudget` — ``max_states`` /
             ``max_seconds`` stopping criteria plus the ``jobs`` (worker
-            processes; ES ignores it) and ``cache`` (transposition cache)
-            execution knobs.
+            processes; ES and SA ignore it) and ``cache`` (transposition
+            cache) execution knobs.
         **kwargs: algorithm-specific options (``merge_constraints`` and
             ``config=HSConfig(...)`` for HS/greedy, ``seed``/``steps`` for
             annealing).

@@ -101,7 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes; es ignores it (default: 1; 0 = one per CPU)",
+        help=(
+            "worker processes; es and sa ignore it "
+            "(default: 1; 0 = one per CPU)"
+        ),
     )
     cmd_optimize.add_argument(
         "--cache-dir",
@@ -109,15 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "transposition-cache directory; warm re-runs of the same "
             "workflow skip re-exploration (default: in-memory only)"
-        ),
-    )
-    cmd_optimize.add_argument(
-        "--beam-width",
-        type=int,
-        default=None,
-        help=(
-            "HS only: keep at most this many frontier orderings per "
-            "local-group exploration (default: unbeamed)"
         ),
     )
     cmd_optimize.add_argument(
@@ -156,7 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes; es ignores it (default: 1; 0 = one per CPU)",
+        help=(
+            "worker processes; es and sa ignore it "
+            "(default: 1; 0 = one per CPU)"
+        ),
     )
     cmd_explain.add_argument(
         "--cache-dir", default=None, help="transposition-cache directory"
@@ -515,7 +512,6 @@ def _cmd_optimize(args) -> int:
         max_seconds=args.max_seconds,
         jobs=args.jobs,
         cache=args.cache_dir,
-        beam_width=args.beam_width,
         prune_dominated=args.prune_dominated,
     )
     result = optimize(workflow, algorithm=args.algorithm, budget=budget)

@@ -52,30 +52,14 @@ def annealing_search(
             5 % of the initial state's cost (accepting small regressions
             early on).
         cooling: geometric cooling factor per step.
-        budget: uniform :class:`SearchBudget`; ``jobs != 1`` runs that
-            many independent chains (seeds ``seed .. seed+jobs-1``) on a
-            worker pool and returns the best endpoint — see
-            :func:`~repro.core.search.parallel.annealing_multi_chain`.
-        pool: optional shared worker pool (see
-            :func:`~repro.core.search.parallel.optimize_many`).
+        budget: uniform :class:`SearchBudget`.  SA runs one chain, so it
+            ignores ``jobs`` and reports ``jobs=1``.
+        pool: ignored; accepted because
+            :func:`~repro.core.search.parallel.run_search` calls every
+            algorithm with the same keywords.
     """
     model = model if model is not None else ProcessedRowsCostModel()
     budget = budget if budget is not None else SearchBudget()
-
-    if budget.resolved_jobs() > 1:
-        from repro.core.search.parallel import annealing_multi_chain
-
-        return annealing_multi_chain(
-            workflow,
-            model,
-            budget,
-            seed=seed,
-            steps=steps,
-            initial_temperature=initial_temperature,
-            cooling=cooling,
-            pool=pool,
-        )
-
     cache, owned_cache = TranspositionCache.resolve(budget.cache)
     hits_before = cache.hits
     recorder = get_recorder()

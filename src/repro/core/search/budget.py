@@ -10,25 +10,25 @@ accepted (as ``budget=``) by :func:`~repro.optimize`,
 Besides the two stopping criteria it carries the two *execution* knobs the
 parallel engine introduces:
 
-* ``jobs`` — worker processes for HS/HS-Greedy group exploration and
-  the SA chain portfolio (``1`` = serial, ``<= 0`` = one per CPU); ES
-  ignores it;
+* ``jobs`` — worker processes for HS/HS-Greedy group exploration
+  (``1`` = serial, ``<= 0`` = one per CPU); ES and SA ignore it, and no
+  algorithm's answer depends on it;
 * ``cache`` — the transposition-cache specification, see
   :meth:`~repro.core.search.transposition.TranspositionCache.resolve`.
 
-It also carries the two *pruning* knobs that were measured to pay (both
-off by default — the default budget reproduces the unpruned algorithms
-byte-for-byte):
+It also carries the one *pruning* knob that was measured to pay, off by
+default so the default budget reproduces the unpruned algorithms
+byte-for-byte: ``prune_dominated`` (ES only) drops frontier states
+dominated by a cheaper already-seen state of the same dominance class
+(see :func:`~repro.core.search.exhaustive.dominance_class`).
 
-* ``beam_width`` (HS only) — cap each HS local-group frontier at the
-  ``k`` cheapest orderings;
-* ``prune_dominated`` (ES only) — drop frontier states dominated by a
-  cheaper already-seen state of the same dominance class (see
-  :func:`~repro.core.search.exhaustive.dominance_class`).
+Budgets also arrive from outside the program (the serve protocol), so
+construction checks every field's type as well as its range.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Any
@@ -48,19 +48,15 @@ class SearchBudget:
         max_seconds: wall-clock budget; best-so-far is returned with
             ``completed=False`` when it trips.
         jobs: worker processes for HS/HS-Greedy local-group exploration
-            (same result for any value) and the SA chain portfolio (one
-            chain per job).  ES ignores it.  ``1`` (the default) keeps
-            every algorithm on its serial path; values ``<= 0`` mean
-            "one worker per CPU".
+            (same result for any value).  ES and SA ignore it.  ``1``
+            (the default) keeps every algorithm on its serial path;
+            values ``<= 0`` mean "one worker per CPU".
         cache: transposition-cache specification — ``None``/``False`` for
             a run-local in-memory cache, ``True`` for the default on-disk
             location (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), a
             path-like for an explicit cache directory, or a
             :class:`~repro.core.search.transposition.TranspositionCache`
             instance to share one cache across runs.
-        beam_width: HS/HS-Greedy only — keep at most this many frontier
-            orderings per local-group exploration (Phase I/IV).  ``None``
-            (the default) reproduces the unbeamed exploration exactly.
         prune_dominated: ES only — drop generated states whose dominance
             class already holds a state at least as cheap from the
             frontier.  A heuristic — it may change budget-truncated
@@ -72,16 +68,20 @@ class SearchBudget:
     max_seconds: float | None = None
     jobs: int = 1
     cache: Any = None
-    beam_width: int | None = None
     prune_dominated: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_states is not None and self.max_states < 1:
-            raise ReproError("SearchBudget.max_states must be at least 1")
-        if self.max_seconds is not None and self.max_seconds < 0:
-            raise ReproError("SearchBudget.max_seconds must be >= 0")
-        if self.beam_width is not None and self.beam_width < 1:
-            raise ReproError("SearchBudget.beam_width must be at least 1")
+        if self.max_states is not None:
+            _require("max_states", self.max_states, numbers.Integral)
+            if self.max_states < 1:
+                raise ReproError("SearchBudget.max_states must be at least 1")
+        if self.max_seconds is not None:
+            _require("max_seconds", self.max_seconds, numbers.Real)
+            # Written so that NaN fails: every comparison with NaN is false.
+            if not self.max_seconds >= 0:
+                raise ReproError("SearchBudget.max_seconds must be >= 0")
+        _require("jobs", self.jobs, numbers.Integral)
+        _require("prune_dominated", self.prune_dominated, bool)
 
     def resolved_jobs(self) -> int:
         """The effective worker count (``jobs <= 0`` means one per CPU)."""
@@ -89,3 +89,13 @@ class SearchBudget:
             return os.cpu_count() or 1
         return int(self.jobs)
 
+
+def _require(field: str, value: Any, kind: type) -> None:
+    """Raise unless ``value`` is a ``kind``; a bool is only ever a bool
+    (``True`` is an ``int`` to ``isinstance``)."""
+    if not isinstance(value, kind) or (
+        isinstance(value, bool) and kind is not bool
+    ):
+        raise ReproError(
+            f"SearchBudget.{field} must be {kind.__name__}, got {value!r}"
+        )

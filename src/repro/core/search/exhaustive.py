@@ -110,8 +110,8 @@ def exhaustive_search(
         workflow: the initial state ``S0``.
         model: cost model; defaults to the paper's processed-rows model.
         budget: uniform :class:`SearchBudget`; ``budget.cache`` memoizes
-            state costs so warm re-runs skip re-costing.  ``jobs`` and
-            ``beam_width`` are ignored.
+            state costs so warm re-runs skip re-costing.  ``jobs`` is
+            ignored.
         pool: ignored; accepted because
             :func:`~repro.core.search.parallel.run_search` calls every
             algorithm with the same keywords.

@@ -33,10 +33,8 @@ def greedy_search(
 ) -> OptimizationResult:
     """Run HS-Greedy on the initial state; see :func:`heuristic_search`.
 
-    The :class:`SearchBudget` pruning knobs are no-ops here:
-    ``beam_width`` because greedy hill climbing keeps a one-state
-    frontier, so there is nothing to beam, and ``prune_dominated``
-    because it is ES-only.
+    The :class:`SearchBudget` pruning knob ``prune_dominated`` is ES-only
+    and a no-op here.
     """
     return heuristic_search(
         workflow,

@@ -208,8 +208,8 @@ def heuristic_search(
         config: see :class:`HSConfig` (tuning knobs of the four phases).
         greedy: switch to the HS-Greedy swap strategy.
         budget: uniform :class:`SearchBudget` — stopping criteria plus the
-            ``jobs`` / ``cache`` execution knobs and the HS-only
-            ``beam_width``; the ES-only ``prune_dominated`` is ignored.
+            ``jobs`` / ``cache`` execution knobs; the ES-only
+            ``prune_dominated`` is ignored.
         pool: a :class:`~repro.core.search.parallel.WorkerPool` to reuse
             (:func:`~repro.core.search.parallel.optimize_many` amortizes
             one pool across runs); by default a pool is created on demand
@@ -566,22 +566,10 @@ def _shift_state(
 
 
 def _group_memo_key(
-    signature: str,
-    member_ids: list[str],
-    greedy: bool,
-    group_cap: int,
-    beam_width: int | None = None,
+    signature: str, member_ids: list[str], greedy: bool, group_cap: int
 ) -> str:
-    """Cache key for one group outcome — the mode suffix grows only when
-    the beam is on, so pre-existing cache entries stay valid."""
-    if greedy:
-        # Hill climbing ignores the beam (its frontier is one state), so
-        # greedy outcomes share a key across beam widths.
-        mode = "greedy"
-    else:
-        mode = f"bf{group_cap}"
-        if beam_width is not None:
-            mode += f"+bw{beam_width}"
+    """Cache key for one group outcome."""
+    mode = "greedy" if greedy else f"bf{group_cap}"
     return f"{signature}|{'.'.join(member_ids)}|{mode}"
 
 
@@ -663,10 +651,7 @@ def _resolve_base(
 
 
 def _group_task(
-    args: tuple[
-        tuple, list[list[str]], bool, int, CostModel | None, bool,
-        int | None,
-    ],
+    args: tuple[tuple, list[list[str]], bool, int, CostModel | None, bool],
 ) -> tuple[
     list[tuple[list[tuple[str, str]], list[tuple[str, float]]]], list[dict]
 ]:
@@ -684,7 +669,7 @@ def _group_task(
     parallel runs produce the same telemetry shape and byte-identical
     search outcomes.
     """
-    base_ref, group_lists, greedy, group_cap, model, telemetry, beam = args
+    base_ref, group_lists, greedy, group_cap, model, telemetry = args
     workflow, model = _resolve_base(base_ref, model)
     algorithm = "HS-Greedy" if greedy else "HS"
     local = Recorder() if telemetry else NULL_RECORDER
@@ -707,7 +692,7 @@ def _group_task(
                 mode="greedy" if greedy else "best_first",
             ):
                 path, explored = _explore_group(
-                    base, members, model, algorithm, greedy, group_cap, beam
+                    base, members, model, algorithm, greedy, group_cap
                 )
                 local.counter("search.group.states_explored").add(
                     len(explored)
@@ -723,7 +708,6 @@ def _explore_group(
     algorithm: str,
     greedy: bool,
     group_cap: int,
-    beam_width: int | None,
 ) -> tuple[list[tuple[str, str]], list[tuple[str, float]]]:
     """One group's ``(path, explored)``: best-first for HS, hill climbing
     for HS-Greedy, stepping through the group kernel.
@@ -736,7 +720,7 @@ def _explore_group(
     def explore(root, successors):
         if greedy:
             return _hill_climb(root, successors)
-        return _best_first(root, successors, group_cap, beam_width)
+        return _best_first(root, successors, group_cap)
 
     def twin():
         return explore(base, _state_successors(set(members), model, algorithm))
@@ -769,14 +753,12 @@ def _state_successors(members: set[Activity], model: CostModel, algorithm: str):
 
 
 def _best_first(
-    root, successors, group_cap: int, beam_width: int | None = None
+    root, successors, group_cap: int
 ) -> tuple[list[tuple[str, str]], list[tuple[str, float]]]:
     """Best-first exploration of a group's reachable orderings (HS).
 
     ``root`` is the base ordering and ``successors(node)`` its step (see
     :func:`_explore_group`); nodes carry ``cost`` and ``signature``.
-    ``beam_width`` trims the frontier to the k cheapest orderings after
-    each expansion; off by default.
     """
     best_cost = root.cost
     best_path: tuple[tuple[str, str], ...] = ()
@@ -800,9 +782,6 @@ def _best_first(
             heapq.heappush(
                 heap, (successor.cost, next(counter), successor, successor_path)
             )
-        if beam_width is not None and len(heap) > beam_width:
-            # nsmallest returns ascending order — a valid heap as-is.
-            heap = heapq.nsmallest(beam_width, heap)
     return list(best_path), explored
 
 
@@ -854,11 +833,10 @@ def _optimize_all_groups(
         session.record(state)
         return state
     group_cap = session.config.group_cap
-    beam_width = session.budget.beam_width
     recorder = get_recorder()
 
     keys = [
-        _group_memo_key(state.signature, ids, greedy, group_cap, beam_width)
+        _group_memo_key(state.signature, ids, greedy, group_cap)
         for ids in groups
     ]
     outcomes: list[
@@ -912,7 +890,6 @@ def _optimize_all_groups(
                 group_cap,
                 task_model,
                 recorder.active,
-                beam_width,
             )
             for batch in batches
         ]

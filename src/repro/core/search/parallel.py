@@ -1,24 +1,20 @@
 """Process-pool execution layer for the search algorithms, plus the
 batch driver that amortizes pool and cache across many workflows.
 
-Two parallelization schemes, matched to the structure of each search
-(Liu's shared-caching + parallel-partitions recipe for ETL dataflows):
+One parallelization scheme (Liu's shared-caching + parallel-partitions
+recipe for ETL dataflows): HS / HS-Greedy Phase I/IV local-group
+exploration is embarrassingly parallel — one pool task per local group,
+outcomes merged deterministically in group order by the main process
+(see :mod:`repro.core.search.heuristic`) — so parallel runs return
+byte-identical best states and visited counts to serial ones.  ``jobs``
+is a speed knob only: every algorithm returns the same answer for any
+value of it.
 
-* **HS / HS-Greedy** — Phase I/IV local-group exploration is
-  embarrassingly parallel: one pool task per local group, outcomes merged
-  deterministically in group order by the main process (see
-  :mod:`repro.core.search.heuristic`), so parallel runs return
-  byte-identical best states and visited counts to serial ones.
-* **SA** — multi-chain annealing: ``jobs`` independent seeded chains run
-  concurrently and the best endpoint wins (ties to the lowest chain
-  index); a classic restart portfolio that trades extra CPU for a better
-  chance of escaping local minima.  It is the one search whose answer
-  depends on ``jobs``.
-
-ES has no parallel path.  Its frontier is not a set of independent
-partitions: each expansion changes which state is cheapest next, so
-expanding several states at once changes the plan a budgeted run
-returns.  ES ignores ``jobs`` and reports ``jobs=1``.
+ES and SA have no parallel path and report ``jobs=1``.  ES's frontier is
+not a set of independent partitions: each expansion changes which state
+is cheapest next, so expanding several states at once changes the plan a
+budgeted run returns.  SA is one seeded Metropolis chain, sequential by
+construction.
 
 All tasks are pure functions of picklable inputs.  A payload the pool
 cannot ship (say, a closure-based cost model) or a pool-infrastructure
@@ -40,7 +36,6 @@ from __future__ import annotations
 
 import pickle
 import threading
-import time
 import warnings
 from dataclasses import replace
 from concurrent.futures import ProcessPoolExecutor
@@ -58,12 +53,7 @@ from repro.core.search.result import OptimizationResult
 from repro.core.search.transposition import TranspositionCache
 from repro.core.workflow import ETLWorkflow
 from repro.exceptions import ReproError
-from repro.obs import (
-    NULL_RECORDER,
-    Recorder,
-    get_recorder,
-    use_recorder,
-)
+from repro.obs import get_recorder
 
 __all__ = [
     "WorkerPool",
@@ -306,91 +296,6 @@ class WorkerPool:
         self.close()
 
 
-# -- SA: multi-chain portfolio -----------------------------------------------------------
-
-
-def _anneal_chain(
-    args: tuple[ETLWorkflow, CostModel | None, dict, bool, str | None],
-) -> tuple[OptimizationResult, list[dict]]:
-    """One annealing chain plus its telemetry buffer (worker-safe)."""
-    workflow, model, kwargs, telemetry, trace = args
-    local = Recorder() if telemetry else NULL_RECORDER
-    with use_recorder(local), local.trace(trace):
-        # The per-chain span is recorded inside annealing_search itself, so
-        # serial and pooled chains produce identical telemetry shapes.
-        result = annealing_search(workflow, model=model, **kwargs)
-    return result, local.events()
-
-
-def annealing_multi_chain(
-    workflow: ETLWorkflow,
-    model: CostModel | None,
-    budget: SearchBudget,
-    seed: int = 0,
-    steps: int = 2000,
-    initial_temperature: float | None = None,
-    cooling: float = 0.995,
-    pool: WorkerPool | None = None,
-) -> OptimizationResult:
-    """Run ``jobs`` independent annealing chains and keep the best endpoint.
-
-    Chain ``i`` uses seed ``seed + i``; chain 0 is exactly the serial run,
-    so the portfolio never returns a worse state than ``jobs=1`` with the
-    same seed.  ``visited_states`` sums the per-chain counts (chains do
-    not share a dedup set).
-    """
-    jobs = budget.resolved_jobs()
-    recorder = get_recorder()
-    chain_budget = SearchBudget(
-        max_states=budget.max_states, max_seconds=budget.max_seconds
-    )
-    tasks = [
-        (
-            workflow,
-            model,
-            {
-                "seed": seed + chain,
-                "steps": steps,
-                "initial_temperature": initial_temperature,
-                "cooling": cooling,
-                "budget": chain_budget,
-            },
-            recorder.active,
-            recorder.current_trace_id(),
-        )
-        for chain in range(jobs)
-    ]
-    owned_pool = pool is None
-    if owned_pool:
-        pool = WorkerPool(jobs)
-    started = time.perf_counter()
-    try:
-        outcomes = pool.map(_anneal_chain, tasks)
-    finally:
-        if owned_pool:
-            pool.close()
-    chains = [result for result, _ in outcomes]
-    for _, events in outcomes:
-        recorder.absorb(events)
-    winner_index = min(
-        range(len(chains)), key=lambda i: (chains[i].best.cost, i)
-    )
-    winner = chains[winner_index]
-    # Every chain starts from the same S0, so the winner's lineage replays
-    # from chains[0].initial even though another chain produced it.
-    return OptimizationResult(
-        algorithm="SA",
-        initial=chains[0].initial,
-        best=winner.best,
-        visited_states=sum(chain.visited_states for chain in chains),
-        elapsed_seconds=time.perf_counter() - started,
-        completed=all(chain.completed for chain in chains),
-        cache_hits=0,
-        jobs=jobs,
-        lineage=winner.best.lineage,
-    )
-
-
 # -- dispatch + batch driver -------------------------------------------------------------
 
 
@@ -431,8 +336,8 @@ def optimize_many(
     budget = budget if budget is not None else SearchBudget()
     cache, owned_cache = TranspositionCache.resolve(budget.cache)
     # dataclasses.replace keeps *every* knob — rebuilding the budget field
-    # by field once silently dropped the pruning knobs (beam_width /
-    # prune_dominated), so batch runs ignored them.
+    # by field once silently dropped the pruning knob (prune_dominated),
+    # so batch runs ignored it.
     shared_budget = replace(budget, cache=cache)
     jobs = budget.resolved_jobs()
     pool = WorkerPool(jobs) if jobs > 1 else None

@@ -20,9 +20,8 @@ Batch` chunks:
   aggregation and distinct fold batches into O(groups) accumulators
   (column-wise when the batch has a usable column view), join buffers
   its build side (spilling to disk past the resident-row budget, then
-  degrading to a block nested-loop probe — the same feasibility split as
-  ``physical/implementations.py``), and difference/intersection fold the
-  right input into a multiset counter;
+  degrading to a block nested-loop probe), and difference/intersection
+  fold the right input into a multiset counter;
 * **fan-out nodes** (several consumers) are drained into a
   :class:`~repro.engine.batches.SpillableRowBuffer` each consumer replays;
 * custom blocking/binary templates fall back to accumulate-everything +
@@ -622,8 +621,7 @@ class _StreamRun:
                 buffer.extend(batch)
                 self._record(metric, len(batch), 0, time.perf_counter() - begun)
             if not buffer.spilled:
-                # Build side fits the budget: classic hash join (mirrors
-                # the `hash_join` feasibility rule in physical/).
+                # Build side fits the budget: classic hash join.
                 index: dict[tuple, list[Row]] = {}
                 for row in buffer.rows():
                     index.setdefault(

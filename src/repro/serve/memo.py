@@ -10,13 +10,11 @@ everything the answer depends on —
     workflow fingerprint × cost model × algorithm × budget knobs
 
 — and a repeat request replays the stored payload.  ``jobs`` is
-**excluded** from the key for ES, HS and HS-Greedy: their jobs=N runs are
-byte-identical to serial, so a result computed at any worker count
-answers a request at any other.  SA is the exception: it runs one chain
-per job and keeps the best endpoint, so its key carries the effective
-``jobs``.  Stopping and pruning knobs
-(``max_states``/``max_seconds``/``beam_width``/``prune_dominated``) are
-all **included**: they change which state the search returns, so each
+**excluded** from the key: every algorithm's jobs=N run returns the same
+answer as its serial run, so a result computed at any worker count
+answers a request at any other.  The stopping and pruning knobs
+(``max_states``/``max_seconds``/``prune_dominated``) are all
+**included**: they change which state the search returns, so each
 combination memoizes separately.
 
 The memo is bounded (LRU) and thread-safe — the daemon's worker threads
@@ -59,11 +57,8 @@ def memo_key(
         canonical,
         f"states={budget.max_states}",
         f"seconds={budget.max_seconds}",
-        f"beam={budget.beam_width}",
         f"dominated={budget.prune_dominated}",
     ]
-    if canonical == "annealing":
-        parts.append(f"jobs={budget.resolved_jobs()}")
     return "|".join(parts)
 
 

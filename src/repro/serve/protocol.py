@@ -7,7 +7,7 @@ requests over one connection:
 
 ``optimize``
     ``{"op": "optimize", "id": 1, "workflow": {...}, "algorithm": "hs",
-    "budget": {"max_states": ..., "beam_width": ...}, "tenant": "acme",
+    "budget": {"max_states": ..., "jobs": ...}, "tenant": "acme",
     "model": "processed_rows", "stream": true}``
 
     With ``stream`` on, the daemon emits ``{"id": 1, "event": ...}``
@@ -103,7 +103,6 @@ _BUDGET_FIELDS = (
     "max_states",
     "max_seconds",
     "jobs",
-    "beam_width",
     "prune_dominated",
 )
 

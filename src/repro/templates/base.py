@@ -10,7 +10,7 @@ This module defines the :class:`ActivityTemplate` descriptor.  The shipped
 templates live in :mod:`repro.templates.builtin`; their executable semantics
 (used by the execution-engine substrate) live in
 :mod:`repro.engine.operators`, keyed by template name, so the logical core
-stays independent of the physical layer.
+stays independent of the execution engine.
 """
 
 from __future__ import annotations

@@ -219,8 +219,11 @@ def _fig4_base_nodes(cardinality: float) -> dict:
         "sk": lambda node_id: Activity(
             node_id,
             t.SURROGATE_KEY,
-            # lookup_size is a physical annotation: the physical planner
-            # only considers a hash lookup feasible when the table fits.
+            # lookup_size (the lookup table's row count) is read by no
+            # optimizer or engine path.  It stays because parameters feed
+            # workflow_fingerprint: dropping it would change the
+            # fingerprints, and so the cache and memo keys, of this
+            # scenario and of every generated workflow that carries it.
             {
                 "key_attr": "KEY",
                 "skey_attr": "SKEY",

@@ -1,7 +1,7 @@
 """Grand tour: the full product surface on one workload, end to end.
 
-generate → lint → optimize → physically plan → serialize → reload →
-execute with checkpoints → calibrate → re-optimize — asserting semantic
+generate → lint → optimize → serialize → reload → execute with
+checkpoints → calibrate → re-optimize — asserting semantic
 equivalence at every hop.  If any two subsystems disagree about what a
 workflow *is*, this test is where it shows.
 """
@@ -17,7 +17,6 @@ from repro.engine import (
     empirically_equivalent,
 )
 from repro.io import dumps, loads
-from repro.physical import plan_physical
 from repro.workloads import generate_workload
 
 
@@ -39,16 +38,11 @@ def test_grand_tour():
         workload.workflow, result.best.workflow, data, executor
     )
 
-    # 3. Physical planning prices the optimum; generous memory helps.
-    generous = plan_physical(result.best.workflow, memory_rows=1e9)
-    tight = plan_physical(result.best.workflow, memory_rows=1)
-    assert generous.total_cost <= tight.total_cost
-
-    # 4. The optimized design survives a JSON round-trip bit-for-bit.
+    # 3. The optimized design survives a JSON round-trip bit-for-bit.
     reloaded = loads(dumps(result.best.workflow))
     assert state_signature(reloaded) == result.best.signature
 
-    # 5. Checkpointed execution of the reloaded design matches a plain run,
+    # 4. Checkpointed execution of the reloaded design matches a plain run,
     #    including across a mid-run failure.
     reference = executor.run(reloaded, data)
     fail_at = reloaded.topological_order()[len(reloaded) // 2].id
@@ -63,7 +57,7 @@ def test_grand_tour():
     for name, rows in reference.targets.items():
         assert as_multiset(resumed.targets[name]) == as_multiset(rows)
 
-    # 6. Calibration with measured selectivities keeps semantics, and the
+    # 5. Calibration with measured selectivities keeps semantics, and the
     #    re-optimized calibrated design is equivalent to the original.
     calibrated = calibrate_workflow(reloaded, data, executor)
     recalibrated = optimize(calibrated, algorithm="greedy")

@@ -90,6 +90,10 @@ class TestBudgetAcceptedEverywhere:
         with pytest.raises(TypeError):
             SearchBudget(bound=True)
 
+    def test_beam_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            SearchBudget(beam_width=8)
+
 
 class TestDeprecationShims:
     def test_direct_algorithm_calls_stay_silent(self):

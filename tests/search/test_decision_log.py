@@ -101,7 +101,7 @@ def test_rejection_reason_is_the_slow_path_message(
     assert all(rejection in remaining for rejection in intercepted)
 
 
-@pytest.mark.parametrize("algorithm", ["hs", "es"])
+@pytest.mark.parametrize("algorithm", ["hs", "es", "sa"])
 @pytest.mark.parametrize("workload", ["fig1", "tiny"])
 def test_decision_log_is_jobs_independent(workload, algorithm):
     serial = _decisions(_workflow(workload), algorithm, jobs=1)

@@ -10,7 +10,7 @@ the same result — compared with ``==``.
 Two layers:
 
 * whole HS / HS-Greedy runs on fig1 and generated workloads (medium and
-  large under ``-m slow``), with ``beam_width=8`` and merge constraints;
+  large under ``-m slow``), with merge constraints and ``jobs=2``;
 * hand-built workflows for branches the generator never produces: a
   tail with fan-out, a swap that changes the tail's attribute set, a
   last-ulp cardinality, a difference and two targets downstream, and
@@ -126,11 +126,6 @@ class TestDifferential:
         workflow = generate_workload(category, seed=seed).workflow
         _assert_kernel_matches_twin(workflow, greedy=greedy)
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_beam(self, seed):
-        workflow = generate_workload("small", seed=seed).workflow
-        _assert_kernel_matches_twin(workflow, beam_width=8)
-
     def test_merge_constraint_puts_a_composite_in_a_group(self):
         workflow = generate_workload("small", seed=0).workflow
         _assert_kernel_matches_twin(
@@ -151,10 +146,6 @@ class TestDifferentialSlow:
     def test_generated(self, category, seed, greedy):
         workflow = generate_workload(category, seed=seed).workflow
         _assert_kernel_matches_twin(workflow, greedy=greedy)
-
-    def test_beam(self):
-        workflow = generate_workload("medium", seed=0).workflow
-        _assert_kernel_matches_twin(workflow, beam_width=8)
 
 
 # -- hand-built workflows ---------------------------------------------------------
@@ -272,7 +263,7 @@ def _explore(workflow, member_ids, greedy):
     recorder = Recorder()
     with use_recorder(recorder):
         outcome = _explore_group(
-            base, members, model, "HS", greedy, group_cap=64, beam_width=None
+            base, members, model, "HS", greedy, group_cap=64
         )
     return outcome, _transitions(recorder)
 

@@ -32,13 +32,8 @@ ALGORITHMS = [
     pytest.param("hs", {}, id="hs"),
     pytest.param("hs-greedy", {}, id="hs-greedy"),
     pytest.param("sa", {"budget": SearchBudget()}, id="sa"),
-    # The pruning knobs must not break provenance: a beamed or
-    # dominance-pruned winner still replays from S0.
-    pytest.param(
-        "hs",
-        {"budget": SearchBudget(beam_width=4)},
-        id="hs-beam",
-    ),
+    # The pruning knob must not break provenance: a dominance-pruned
+    # winner still replays from S0.
     pytest.param(
         "es",
         {"budget": SearchBudget(max_states=300, prune_dominated=True)},
@@ -88,15 +83,6 @@ class TestDeterminism:
         parallel = run_search("hs", _workflow(), budget=SearchBudget(jobs=2))
         assert parallel.lineage == serial.lineage
         assert parallel.lineage_dicts() == serial.lineage_dicts()
-
-    def test_parallel_beam_lineage_identical_to_serial(self):
-        serial = run_search(
-            "hs", _workflow(), budget=SearchBudget(jobs=1, beam_width=4)
-        )
-        parallel = run_search(
-            "hs", _workflow(), budget=SearchBudget(jobs=2, beam_width=4)
-        )
-        assert parallel.lineage == serial.lineage
 
     @pytest.mark.parametrize("algorithm", ["es", "sa"])
     def test_parallel_lineage_replays(self, algorithm):

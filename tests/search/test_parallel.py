@@ -1,10 +1,11 @@
 """Parallel == serial determinism, the worker pool, and the batch driver.
 
-The contract: for any jobs value, HS returns a byte-identical best state
-and visited count, because group explorations are hermetic and their
-outcomes are merged deterministically in group order by the main
-process; ES ignores jobs.  Warm transposition-cache runs replay the same
-streams and agree too.
+The contract: for any jobs value, every algorithm returns its serial
+answer.  HS and HS-Greedy use the workers, and return a byte-identical
+best state and visited count because group explorations are hermetic and
+their outcomes are merged deterministically in group order by the main
+process; ES and SA ignore jobs.  Warm transposition-cache runs replay the
+same streams and agree too.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import pytest
 
 from repro import (
     SearchBudget,
-    annealing_search,
     exhaustive_search,
     heuristic_search,
+    optimize,
     optimize_many,
 )
 from repro.core.search.parallel import WorkerPool
@@ -73,16 +74,29 @@ class TestHSDeterminism:
         assert parallel.visited_states == serial.visited_states
 
 
+#: The algorithms that run group explorations on ``jobs`` workers and
+#: report that worker count; the others report ``jobs=1``.
+_POOLED = ("hs", "greedy")
+
+
+def _jobs_cases():
+    for algorithm in ("es", "hs", "greedy", "sa"):
+        # ES cases keep their original, unprefixed ids.
+        prefix = "" if algorithm == "es" else f"{algorithm}-"
+        for category, seed in (
+            ("fig1", None), ("small", 0), ("small", 1), ("medium", 0)
+        ):
+            name = category if seed is None else f"{category}-{seed}"
+            yield pytest.param(algorithm, category, seed, id=prefix + name)
+
+
 class TestESJobs:
-    @pytest.mark.parametrize(
-        "category, seed",
-        [("fig1", None), ("small", 0), ("small", 1), ("medium", 0)],
-        ids=["fig1", "small-0", "small-1", "medium-0"],
-    )
-    def test_jobs_do_not_change_the_result(self, category, seed):
-        """ES expands one state at a time for any jobs value: fig1's space
-        is exhausted, and the generated workloads stop at the same
-        best-so-far when max_states=300 trips."""
+    @pytest.mark.parametrize("algorithm, category, seed", _jobs_cases())
+    def test_jobs_do_not_change_the_result(self, algorithm, category, seed):
+        """Every algorithm returns its serial answer at jobs=2: ES and SA
+        ignore jobs, and HS/HS-Greedy merge their group outcomes in group
+        order.  fig1 runs unbudgeted; the generated workloads stop at
+        max_states=300, where the stopping point decides the plan."""
 
         def run(jobs):
             if category == "fig1":
@@ -90,33 +104,22 @@ class TestESJobs:
             else:
                 workflow = generate_workload(category, seed=seed).workflow
                 max_states = 300
-            return exhaustive_search(
-                workflow, budget=SearchBudget(max_states=max_states, jobs=jobs)
+            return optimize(
+                workflow,
+                algorithm,
+                budget=SearchBudget(max_states=max_states, jobs=jobs),
             )
 
         serial, parallel = run(1), run(2)
-        assert serial.completed is (category == "fig1")
-        for result in (serial, parallel):
-            assert result.jobs == 1
+        if algorithm == "es":
+            assert serial.completed is (category == "fig1")
+        assert serial.jobs == 1
+        assert parallel.jobs == (2 if algorithm in _POOLED else 1)
         assert parallel.best.cost == serial.best.cost
         assert parallel.best.signature == serial.best.signature
         assert parallel.lineage == serial.lineage
         assert parallel.visited_states == serial.visited_states
         assert parallel.completed == serial.completed
-
-
-class TestSAMultiChain:
-    def test_portfolio_never_worse_than_serial(self):
-        serial = annealing_search(fig1_workflow().workflow, seed=7, steps=150)
-        portfolio = annealing_search(
-            fig1_workflow().workflow,
-            seed=7,
-            steps=150,
-            budget=SearchBudget(jobs=3),
-        )
-        assert portfolio.best.cost <= serial.best.cost
-        assert portfolio.jobs == 3
-        assert portfolio.visited_states >= serial.visited_states
 
 
 class TestTelemetryDeterminism:
@@ -226,31 +229,29 @@ class TestOptimizeManyKnobs:
     """Regression: the batch driver must forward *every* budget knob.
 
     optimize_many once rebuilt the shared budget field by field and
-    silently dropped the pruning knobs (beam_width / prune_dominated), so
-    batch runs searched a different space than the same budget passed to
-    a per-workflow call.
+    silently dropped the pruning knob (prune_dominated), so batch runs
+    searched a different space than the same budget passed to a
+    per-workflow call.
     """
 
     def test_batch_honours_pruning_knobs(self):
-        budget = SearchBudget(beam_width=1, prune_dominated=True)
-        workload = generate_workload("small", seed=0)
-        direct = heuristic_search(workload.workflow.copy(), budget=budget)
-        unknobbed = heuristic_search(
-            generate_workload("small", seed=0).workflow.copy(),
-            budget=SearchBudget(),
-        )
-        # The knobs must actually bite on this workload, or the equality
+        budget = SearchBudget(prune_dominated=True)
+
+        def workflow():
+            return generate_workload("tiny", seed=1).workflow
+
+        direct = exhaustive_search(workflow(), budget=budget)
+        unknobbed = exhaustive_search(workflow())
+        # The knob must actually bite on this workload, or the equality
         # below would pass vacuously.
-        assert direct.visited_states != unknobbed.visited_states
-        (batch,) = optimize_many(
-            [generate_workload("small", seed=0).workflow], budget=budget
-        )
+        assert direct.visited_states < unknobbed.visited_states
+        (batch,) = optimize_many([workflow()], algorithm="es", budget=budget)
         assert batch.visited_states == direct.visited_states
         assert batch.best.cost == direct.best.cost
         assert batch.best.signature == direct.best.signature
 
     def test_batch_equals_per_workflow_runs(self):
-        budget = SearchBudget(max_states=500, beam_width=2)
+        budget = SearchBudget(max_states=500)
         workflows = [
             generate_workload("tiny", seed=seed).workflow for seed in range(3)
         ]

@@ -1,17 +1,14 @@
-"""Soundness and determinism of the two search-pruning knobs.
+"""Soundness and determinism of the ES-only ``prune_dominated`` knob.
 
-``prune_dominated`` is ES-only and ``beam_width`` HS-only.  Three
-claims, each tested where it is actually provable:
+Two claims, each tested where it is actually provable:
 
 * **Invariance** — on state spaces ES *completes*, dominance pruning
   must return the exact optimum the unpruned run finds (bitwise-equal
   cost).  Completed spaces are essential: under a truncated budget the
   traversal order legitimately changes best-so-far, so comparing
   truncated runs tests nothing.
-* **Reproduction** — with every knob off (or trivially large), the
-  pruned code paths must reproduce the classic algorithms byte for byte.
-* **Determinism** — a beam run is a pure function of its inputs: two
-  runs agree, and a parallel run agrees with its serial twin.
+* **Reproduction** — HS ignores the knob, so its runs reproduce the
+  classic algorithm byte for byte.
 
 Plus the observability contract: pruning work shows up on the
 ``search.pruned_dominated`` counter.
@@ -119,60 +116,6 @@ class TestHeuristicPruning:
         assert pruned.best.signature == base.best.signature
         assert pruned.visited_states == base.visited_states
         assert pruned.lineage == base.lineage
-
-
-class TestBeam:
-    def test_no_beam_and_huge_beam_are_byte_identical(self):
-        """``beam_width=None`` is the classic HS; a beam wider than any
-
-        frontier must reproduce it exactly (the truncation never fires)."""
-        base = run_search("hs", _workflow("small", 0))
-        explicit_none = run_search(
-            "hs", _workflow("small", 0), budget=SearchBudget(beam_width=None)
-        )
-        huge = run_search(
-            "hs", _workflow("small", 0), budget=SearchBudget(beam_width=10**9)
-        )
-        for twin in (explicit_none, huge):
-            assert twin.visited_states == base.visited_states
-            assert twin.best_cost == base.best_cost
-            assert twin.lineage == base.lineage
-
-    def test_beam_is_deterministic_across_runs(self):
-        first = run_search(
-            "hs", _workflow("small", 0), budget=SearchBudget(beam_width=4)
-        )
-        second = run_search(
-            "hs", _workflow("small", 0), budget=SearchBudget(beam_width=4)
-        )
-        assert first.visited_states == second.visited_states
-        assert first.best_cost == second.best_cost
-        assert first.lineage == second.lineage
-
-    def test_beam_parallel_matches_serial(self):
-        serial = run_search(
-            "hs",
-            _workflow("small", 0),
-            budget=SearchBudget(beam_width=4, jobs=1),
-        )
-        parallel = run_search(
-            "hs",
-            _workflow("small", 0),
-            budget=SearchBudget(beam_width=4, jobs=2),
-        )
-        assert parallel.visited_states == serial.visited_states
-        assert parallel.best_cost == serial.best_cost
-        assert parallel.lineage == serial.lineage
-
-    def test_beam_still_finds_an_improvement(self):
-        result = run_search(
-            "hs", _workflow("small", 0), budget=SearchBudget(beam_width=4)
-        )
-        assert result.best_cost < result.initial_cost
-
-    def test_beam_width_validation(self):
-        with pytest.raises(Exception):
-            SearchBudget(beam_width=0)
 
 
 class TestCounters:

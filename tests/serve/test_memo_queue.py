@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import os
 import threading
 
 import pytest
 
 from repro import SearchBudget
+from repro.core.search.parallel import ALGORITHMS
 from repro.serve.memo import ResultMemo, memo_key
 from repro.serve.queue import AdmissionError, Job, JobQueue, TenantPolicy
 
@@ -18,32 +18,25 @@ def _job(tenant: str = "acme") -> Job:
 
 class TestMemoKey:
     def test_jobs_is_excluded(self):
-        # jobs=N is byte-identical to serial, so any worker count answers.
-        serial = memo_key("fp", "processed_rows", "hs", SearchBudget(jobs=1))
-        parallel = memo_key("fp", "processed_rows", "hs", SearchBudget(jobs=8))
-        assert serial == parallel
-
-    def test_sa_keys_on_the_effective_jobs(self):
-        # SA runs one chain per job and keeps the best endpoint, so its
-        # answer depends on jobs; every spelling keys the same way.
-        def key(algorithm, jobs):
-            budget = SearchBudget(jobs=jobs)
-            return memo_key("fp", "processed_rows", algorithm, budget)
-
-        assert key("sa", 1) != key("sa", 2)
-        assert key("sa", 2) == key("annealing", 2) == key("SA", 2)
-        assert key("sa", 0) == key("sa", os.cpu_count() or 1)
-        for algorithm in ("es", "hs", "greedy"):
-            assert key(algorithm, 1) == key(algorithm, 2)
+        # Every algorithm returns its serial answer at jobs=N, so a result
+        # computed at any worker count answers a request at any other.
+        for algorithm in ALGORITHMS:
+            keys = {
+                memo_key(
+                    "fp", "processed_rows", algorithm, SearchBudget(jobs=jobs)
+                )
+                for jobs in (1, 2, 8, 0)
+            }
+            assert len(keys) == 1, algorithm
 
     @pytest.mark.parametrize(
         "knob",
         [
             {"max_states": 10},
             {"max_seconds": 1.0},
-            {"beam_width": 2},
             {"prune_dominated": True},
-            {"beam_width": 2, "prune_dominated": True},
+            {"max_states": 10, "prune_dominated": True},
+            {"max_seconds": 1.0, "prune_dominated": True},
         ],
     )
     def test_every_outcome_knob_is_included(self, knob):
@@ -132,9 +125,8 @@ class TestTenantPolicy:
         assert effective.cache is None
 
     def test_pruning_knobs_survive_the_clamp(self):
-        requested = SearchBudget(beam_width=3, prune_dominated=True)
+        requested = SearchBudget(prune_dominated=True)
         effective = TenantPolicy(max_states=50).clamp(requested, max_jobs=1)
-        assert effective.beam_width == 3
         assert effective.prune_dominated
 
 

@@ -21,6 +21,22 @@ from repro.serve.protocol import (
 )
 from repro.workloads import fig1_workflow
 
+#: Budgets a client can send that parse as JSON but hold a value of the
+#: wrong type; Python's ``json`` accepts the ``NaN`` literal.
+MALFORMED_BUDGETS = [
+    pytest.param('{"jobs": "2"}', id="jobs-string"),
+    pytest.param('{"jobs": null}', id="jobs-null"),
+    pytest.param('{"jobs": [2]}', id="jobs-list"),
+    pytest.param('{"jobs": 2.5}', id="jobs-float"),
+    pytest.param('{"max_states": true}', id="max_states-bool"),
+    pytest.param('{"max_states": "300"}', id="max_states-string"),
+    pytest.param('{"max_seconds": NaN}', id="max_seconds-nan"),
+    pytest.param('{"max_seconds": "1"}', id="max_seconds-string"),
+    pytest.param('{"max_seconds": false}', id="max_seconds-bool"),
+    pytest.param('{"prune_dominated": "no"}', id="prune_dominated-string"),
+    pytest.param('{"prune_dominated": 1}', id="prune_dominated-int"),
+]
+
 
 class TestFraming:
     def test_encode_is_one_newline_terminated_line(self):
@@ -60,7 +76,6 @@ class TestBudgetCodec:
             max_states=100,
             max_seconds=1.5,
             jobs=2,
-            beam_width=4,
             prune_dominated=True,
         )
         assert budget_from_dict(budget_to_dict(budget)) == budget
@@ -80,6 +95,17 @@ class TestBudgetCodec:
     def test_invalid_value_rejected(self):
         with pytest.raises(ProtocolError, match="invalid budget"):
             budget_from_dict({"max_states": 0})
+
+    @pytest.mark.parametrize("wire", MALFORMED_BUDGETS)
+    def test_wrongly_typed_value_rejected(self, wire):
+        with pytest.raises(ProtocolError, match="invalid budget"):
+            budget_from_dict(json.loads(wire))
+
+    def test_removed_beam_knob_is_an_unknown_field(self):
+        with pytest.raises(
+            ProtocolError, match="unknown budget field.*beam_width"
+        ):
+            budget_from_dict({"beam_width": 8})
 
     def test_non_object_rejected(self):
         with pytest.raises(ProtocolError, match="JSON object"):

@@ -7,6 +7,7 @@ warm caches and memo change latency, never the answer.
 
 from __future__ import annotations
 
+import json
 import socket
 import threading
 import time
@@ -129,10 +130,10 @@ class TestJobsOnATwoJobDaemon:
         assert reply["served_from"] == "memo"
         self._assert_direct(reply, workflow, "es")
 
-    def test_sa_memo_keys_on_jobs(self, two_job_server):
+    def test_sa_answer_does_not_depend_on_jobs(self, two_job_server):
         workflow = generate_workload("small", seed=0).workflow
         reply = self._serial_after_parallel(two_job_server, workflow, "sa")
-        assert reply["served_from"] == "search"
+        assert reply["served_from"] == "memo"
         self._assert_direct(reply, workflow, "sa")
 
 
@@ -241,6 +242,27 @@ class TestOps:
         with server.client() as client:
             assert client.ping()
             assert client.stats()["counters"][counter] == before + 1
+
+    def test_malformed_budgets_keep_the_connection_usable(self, server):
+        """A budget value of the wrong type is answered ``bad-request``,
+        never a dropped connection or a silently different search."""
+        malformed = (
+            '{"jobs": "2"}',
+            '{"jobs": null}',
+            '{"jobs": [2]}',
+            '{"max_states": true}',
+            '{"max_seconds": NaN}',
+            '{"prune_dominated": "no"}',
+            '{"beam_width": 8}',
+        )
+        with server.client() as client:
+            for wire in malformed:
+                with pytest.raises(ServeError) as excinfo:
+                    client.optimize(
+                        _workflow(), "es", budget={**BUDGET, **json.loads(wire)}
+                    )
+                assert excinfo.value.code == "bad-request", wire
+                assert client.ping(), wire
 
     def test_removed_bound_knob_is_bad_request(self, server):
         with server.client() as client:

@@ -53,7 +53,6 @@ def test_top_level_exports(name):
         "repro.templates.catalog",
         "repro.engine",
         "repro.engine.tracing",
-        "repro.physical",
         "repro.workloads",
         "repro.experiments",
         "repro.io",
@@ -78,7 +77,6 @@ def test_all_lists_are_accurate():
         "repro.workloads",
         "repro.experiments",
         "repro.io",
-        "repro.physical",
     ):
         module = importlib.import_module(module_name)
         for name in getattr(module, "__all__", ()):

@@ -120,15 +120,6 @@ class TestCrossSubsystem:
 
         assert lint_workflow(star.workflow) == []
 
-    def test_star_join_physical_plan_memory_sensitivity(self, star):
-        from repro.physical import plan_physical
-
-        generous = plan_physical(star.workflow, memory_rows=1e9)
-        tight = plan_physical(star.workflow, memory_rows=1)
-        join = star.workflow.node_by_id("6")
-        assert generous.implementation_of(join).name == "hash_join"
-        assert tight.implementation_of(join).name == "sort_merge_join"
-
     def test_star_join_round_trips_json(self, star):
         from repro.core.signature import state_signature
         from repro.io import dumps, loads
