@@ -22,9 +22,12 @@ per-position output schema, cardinality and cost, and prices
   downstream of the tail re-rendered through
   :func:`~repro.core.signature.render_node`.
 
-Each considered swap is recorded as :meth:`SearchState.try_successor`
-records it; that state-building step stays as the slow twin (see
-:func:`repro.core.search.heuristic._explore_group`).
+Each considered swap's decision event is the one
+:meth:`SearchState.try_successor` records, built only when the recorder
+keeps decisions; the swaps are counted locally and
+:meth:`GroupKernel.record_counts` adds the totals to
+``search.transitions`` once per group.  The state-building step stays
+as the slow twin (see :func:`repro.core.search.heuristic._explore_group`).
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ from repro.core.signature import join_targets, render_node
 from repro.core.transitions.swap import Swap
 from repro.core.workflow import DerivedSchemas
 from repro.exceptions import SchemaError, TransitionError
-from repro.obs.provenance import record_transition
+from repro.obs.provenance import record_decision
+from repro.obs.telemetry import get_recorder
 
 __all__ = ["GroupKernel", "Ordering"]
 
@@ -110,6 +114,8 @@ class GroupKernel:
         self._schema_errors: dict[Schema, SchemaError | None] = {
             derived[tail].output: None
         }
+        #: Swaps priced so far, by verdict (see :meth:`record_counts`).
+        self._counts = {"applied": 0, "rejected": 0}
         self._downstream_costs: dict[float, list[float]] = {
             report.cardinalities[tail]: [
                 report.node_costs[node]
@@ -129,9 +135,11 @@ class GroupKernel:
     def successors(
         self, parent: Ordering
     ) -> Iterator[tuple[tuple[str, str], Ordering | None]]:
-        """Record and yield each swap of ``parent``, in ``_group_swaps``
-        order (positions by the first member's id): ``((first id, second
-        id), successor)``, the successor ``None`` when rejected."""
+        """Count, record and yield each swap of ``parent``, in
+        ``_group_swaps`` order (positions by the first member's id):
+        ``((first id, second id), successor)``, the successor ``None``
+        when rejected."""
+        recorder = get_recorder()
         members = parent.members
         last = len(members) - 1
         for index in sorted(range(last), key=lambda i: members[i].id):
@@ -139,15 +147,27 @@ class GroupKernel:
             swap = Swap(first, second)
             priced = self._price(parent, index, swap)
             rejected = isinstance(priced, str)
-            record_transition(
-                algorithm=self._algorithm,
-                transition=swap,
-                cost_before=parent.cost,
-                cost_after=None if rejected else priced.cost,
-                accepted=not rejected,
-                reason=priced if rejected else None,
-            )
+            self._counts["rejected" if rejected else "applied"] += 1
+            if recorder.decisions:
+                record_decision(
+                    recorder,
+                    algorithm=self._algorithm,
+                    transition=swap,
+                    cost_before=parent.cost,
+                    cost_after=None if rejected else priced.cost,
+                    accepted=not rejected,
+                    reason=priced if rejected else None,
+                )
             yield (first.id, second.id), None if rejected else priced
+
+    def record_counts(self) -> None:
+        """Add the swaps counted so far to ``search.transitions``."""
+        recorder = get_recorder()
+        for outcome, count in self._counts.items():
+            if count:
+                recorder.counter(
+                    "search.transitions", mnemonic="SWA", outcome=outcome
+                ).add(count)
 
     def _price(self, parent: Ordering, index: int, swap: Swap) -> Ordering | str:
         """The swapped ordering, or the rejection reason."""

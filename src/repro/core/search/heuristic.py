@@ -651,7 +651,9 @@ def _resolve_base(
 
 
 def _group_task(
-    args: tuple[tuple, list[list[str]], bool, int, CostModel | None, bool],
+    args: tuple[
+        tuple, list[list[str]], bool, int, CostModel | None, bool | None
+    ],
 ) -> tuple[
     list[tuple[list[tuple[str, str]], list[tuple[str, float]]]], list[dict]
 ]:
@@ -661,18 +663,21 @@ def _group_task(
     requested group — ``path`` is the swap sequence (pairs of activity
     ids) leading from the base ordering to the best one found,
     ``explored`` is every locally-new state as ``(signature, cost)`` in
-    generation order — and ``events`` is the task's telemetry buffer
-    (empty when ``telemetry`` is off), shipped back through the
-    result-merge path so worker-side spans land in the parent's
-    recorder.  Runs unchanged in-process or on a worker — a worker
-    records into a private local recorder either way, so serial and
-    parallel runs produce the same telemetry shape and byte-identical
-    search outcomes.
+    generation order — and ``events`` is the task's telemetry buffer,
+    shipped back through the result-merge path so worker-side spans land
+    in the parent's recorder.  ``decisions`` is ``None`` when telemetry
+    is off (the buffer is empty), else whether the task's recorder keeps
+    decision events, as the dispatching recorder does.  Runs unchanged
+    in-process or on a worker — a worker records into a private local
+    recorder either way, so serial and parallel runs produce the same
+    telemetry shape and byte-identical search outcomes.
     """
-    base_ref, group_lists, greedy, group_cap, model, telemetry = args
+    base_ref, group_lists, greedy, group_cap, model, decisions = args
     workflow, model = _resolve_base(base_ref, model)
     algorithm = "HS-Greedy" if greedy else "HS"
-    local = Recorder() if telemetry else NULL_RECORDER
+    local = (
+        NULL_RECORDER if decisions is None else Recorder(decisions=decisions)
+    )
     outcomes: list[
         tuple[list[tuple[str, str]], list[tuple[str, float]]]
     ] = []
@@ -729,6 +734,7 @@ def _explore_group(
         return twin()
     kernel = GroupKernel(base, members, model, algorithm)
     outcome = explore(kernel.root, kernel.successors)
+    kernel.record_counts()
     if flags.cost_oracle_enabled():
         with use_recorder(NULL_RECORDER):
             expected = twin()
@@ -889,7 +895,7 @@ def _optimize_all_groups(
                 greedy,
                 group_cap,
                 task_model,
-                recorder.active,
+                recorder.decisions if recorder.active else None,
             )
             for batch in batches
         ]

@@ -11,7 +11,8 @@ the endpoint.  This module closes that gap from two sides:
   active :class:`~repro.obs.telemetry.Recorder`.  All four algorithms call
   it; worker-side events ship back through the existing result-merge path,
   so one JSONL file holds the whole search's reasoning regardless of
-  ``jobs``.
+  ``jobs``.  A ``Recorder(decisions=False)`` — the serve daemon's —
+  keeps the counters and builds no event.
 * **The lineage** — every :class:`~repro.core.search.state.SearchState`
   carries the chain of :class:`~repro.core.search.state.LineageStep`\\ s
   that produced it, and ``OptimizationResult.lineage`` exposes the winning
@@ -39,7 +40,7 @@ from repro.core.transitions.merge import Merge, Split
 from repro.core.transitions.swap import Swap
 from repro.core.workflow import ETLWorkflow
 from repro.exceptions import ReproError
-from repro.obs.telemetry import get_recorder
+from repro.obs.telemetry import Recorder, get_recorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # Imported lazily at call sites: repro.core.search's package __init__
@@ -52,6 +53,7 @@ __all__ = [
     "LineageReplay",
     "LineageMismatch",
     "record_transition",
+    "record_decision",
     "transition_targets",
     "build_transition",
     "parse_transition",
@@ -100,11 +102,13 @@ def record_transition(
 ) -> None:
     """Record one considered transition: aggregate counter + decision event.
 
-    The counter keeps the PR-4 ``search.transitions`` aggregate intact
-    (``outcome`` defaults to applied/rejected by acceptance, but e.g. SA
-    distinguishes Metropolis rejections via ``counter_outcome``); the
-    event carries the full decision — targets, both costs, and the reason
-    a rejected transition was turned down.  A no-op when telemetry is off.
+    The counter keeps the ``search.transitions`` aggregate (``outcome``
+    defaults to applied/rejected by acceptance, but e.g. SA distinguishes
+    Metropolis rejections via ``counter_outcome``); the event carries the
+    full decision — targets, both costs, and the reason a rejected
+    transition was turned down.  A no-op when telemetry is off, and no
+    event is built when the recorder keeps no decisions
+    (``Recorder(decisions=False)``).
     """
     recorder = get_recorder()
     if not recorder.active:
@@ -113,6 +117,30 @@ def record_transition(
     recorder.counter(
         "search.transitions", mnemonic=transition.mnemonic, outcome=outcome
     ).add()
+    if recorder.decisions:
+        record_decision(
+            recorder,
+            algorithm=algorithm,
+            transition=transition,
+            cost_before=cost_before,
+            cost_after=cost_after,
+            accepted=accepted,
+            reason=reason,
+        )
+
+
+def record_decision(
+    recorder: Recorder,
+    *,
+    algorithm: str,
+    transition: Transition,
+    cost_before: float | None,
+    cost_after: float | None,
+    accepted: bool,
+    reason: str | None,
+) -> None:
+    """Record the decision event of one considered transition, uncounted:
+    for a caller that adds its ``search.transitions`` totals itself."""
     recorder.record_event(
         TRANSITION_EVENT,
         algorithm=algorithm,

@@ -262,12 +262,22 @@ class Recorder:
     so buffers from recycled pool workers — which restart their local id
     counters per task — never collide with the parent's ids or with each
     other, and the span tree stays well-formed across process boundaries.
+
+    ``decisions=False`` keeps no decision log: the search records its
+    ``search.transitions`` counters but builds no ``search.transition``
+    event (see :func:`~repro.obs.provenance.record_transition`).
     """
 
     #: Instrumented call sites may branch on this to skip building tags.
     active = True
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter):
+    def __init__(
+        self,
+        clock: Callable[[], float] = time.perf_counter,
+        *,
+        decisions: bool = True,
+    ):
+        self.decisions = decisions
         self._clock = clock
         self._lock = threading.Lock()
         self._spans: list[dict[str, Any]] = []
@@ -609,7 +619,7 @@ class _NullRecorder(Recorder):
         return []
 
 
-NULL_RECORDER = _NullRecorder()
+NULL_RECORDER = _NullRecorder(decisions=False)
 
 _trace_ids = itertools.count(1)
 

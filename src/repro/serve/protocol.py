@@ -34,6 +34,9 @@ requests over one connection:
     Acknowledge, then stop accepting work and exit cleanly once in-flight
     requests drain.
 
+``model`` (a name in :data:`MODELS`) and ``tenant`` must be strings and
+``stream`` a bool; a mistyped field is answered ``bad-request``.
+
 Errors are responses with ``"ok": false`` and an ``"error"`` string plus
 a machine-readable ``"code"`` (``bad-request``, ``queue-full``,
 ``tenant-limit``, ``search-error``, ``too-large``).  A line that does not
@@ -69,6 +72,7 @@ __all__ = [
     "decode",
     "budget_from_dict",
     "budget_to_dict",
+    "request_field",
     "resolve_model",
     "model_key",
     "result_to_dict",
@@ -165,10 +169,25 @@ def budget_to_dict(budget: SearchBudget) -> dict[str, Any]:
     return {field: getattr(budget, field) for field in _BUDGET_FIELDS}
 
 
+def request_field(
+    message: dict[str, Any], name: str, kind: type, default: Any
+) -> Any:
+    """A request's ``name`` field (``default`` when absent), which must be
+    a ``kind``; a mistyped value is a :class:`ProtocolError`."""
+    value = message.get(name, default)
+    if not isinstance(value, kind):
+        raise ProtocolError(
+            f"{name} must be a {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
 def resolve_model(name: str | None) -> CostModel:
     """Instantiate a registered cost model (default: processed rows)."""
     if name is None:
         return ProcessedRowsCostModel()
+    if not isinstance(name, str):
+        raise ProtocolError(f"model must be a str, got {name!r}")
     try:
         return MODELS[name]()
     except KeyError:

@@ -25,12 +25,15 @@ values replay exactly what the same deterministic computation would have
 produced.
 
 Progress streaming rides the obs layer: each request runs under a
-private :class:`~repro.obs.Recorder` whose ``on_span`` hook forwards
-finished ``search.*`` spans to the client as ``event`` lines.  The
-daemon's own recorder absorbs only the request's counters, gauges and
-histograms (for ``stats``, ``metrics`` and ``--telemetry``); its span
-tree goes to the bounded exemplar rings, so the daemon's telemetry does
-not grow with the number of requests served.
+private ``Recorder(decisions=False)`` whose ``on_span`` hook forwards
+finished ``search.*`` spans to the client as ``event`` lines.  That
+recorder keeps no decision log: the search counts its transitions in
+``search.transitions`` but builds no ``search.transition`` event, in
+the request thread or in a pool worker.  The daemon's own recorder
+absorbs only the request's counters, gauges and histograms (for
+``stats``, ``metrics`` and ``--telemetry``); its span tree goes to the
+bounded exemplar rings, so the daemon's telemetry does not grow with
+the number of requests served.
 
 Production observability is three planes on top of that substrate:
 
@@ -81,6 +84,7 @@ from repro.serve.protocol import (
     decode,
     encode,
     model_key,
+    request_field,
     resolve_model,
     result_to_dict,
     workflow_from_request,
@@ -95,8 +99,8 @@ __all__ = ["ServeConfig", "OptimizerServer", "BackgroundServer"]
 MAX_REQUEST_BYTES = 4 * 1024 * 1024
 
 #: The event types a request's recorder hands to the daemon-lifetime
-#: recorder: they merge into fixed-size registries.  Spans and structured
-#: events (the decision log) would accumulate per request.
+#: recorder: they merge into fixed-size registries.  Spans would
+#: accumulate per request (its recorder builds no decision events).
 _INSTRUMENTS = frozenset({"counter", "gauge", "histogram"})
 
 
@@ -434,8 +438,8 @@ class OptimizerServer:
                 )
             model_name = message.get("model")
             resolve_model(model_name)  # validate eagerly, fail at the door
-            tenant = str(message.get("tenant", "default"))
-            stream = bool(message.get("stream", False))
+            tenant = request_field(message, "tenant", str, "default")
+            stream = request_field(message, "stream", bool, False)
         except ProtocolError as exc:
             conn.out.put_nowait(
                 {
@@ -591,7 +595,8 @@ class OptimizerServer:
         trace_id: str = payload["trace"]
         queued_seconds = time.monotonic() - job.enqueued_at
         emit({"event": "started", "queued_seconds": queued_seconds})
-        local = Recorder()
+        # Instruments and spans only: the daemon keeps no decision log.
+        local = Recorder(decisions=False)
         if payload["stream"]:
 
             def forward(span_event: dict[str, Any]) -> None:

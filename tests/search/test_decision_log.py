@@ -15,7 +15,7 @@ from repro import SearchBudget, optimize
 from repro.core import flags
 from repro.core.transitions.base import Transition
 from repro.exceptions import ReproError
-from repro.obs import TRANSITION_EVENT, Recorder, use_recorder
+from repro.obs import NULL_RECORDER, TRANSITION_EVENT, Recorder, use_recorder
 from repro.workloads import fig1_workflow, generate_workload
 
 #: ES's reason for an applicable transition whose state was seen before.
@@ -107,3 +107,70 @@ def test_decision_log_is_jobs_independent(workload, algorithm):
     serial = _decisions(_workflow(workload), algorithm, jobs=1)
     parallel = _decisions(_workflow(workload), algorithm, jobs=2)
     assert parallel == serial
+
+
+#: ``Recorder(decisions=False)`` cases: every algorithm on fig1 and tiny
+#: seed 2, HS, HS-Greedy and SA on small seed 0, and the group fan-out
+#: at ``jobs=2``.
+_SWITCH_WORKFLOWS = {
+    "fig1": lambda: fig1_workflow().workflow,
+    "tiny": lambda: generate_workload("tiny", seed=2).workflow,
+    "small": lambda: generate_workload("small", seed=0).workflow,
+}
+_SWITCH_CASES = [
+    pytest.param(
+        workload, algorithm, jobs, id=f"{workload}-{algorithm}-{jobs}"
+    )
+    for workload, algorithms in (
+        ("fig1", ("hs", "greedy", "es", "sa")),
+        ("tiny", ("hs", "greedy", "es", "sa")),
+        ("small", ("hs", "greedy", "sa")),
+    )
+    for algorithm in algorithms
+    for jobs in ((1, 2) if algorithm in ("hs", "greedy") else (1,))
+]
+
+
+def _transition_counters(recorder):
+    return {
+        tuple(sorted(event["tags"].items())): event["value"]
+        for event in recorder.events()
+        if event["type"] == "counter" and event["name"] == "search.transitions"
+    }
+
+
+def _logged(recorder):
+    return [
+        event
+        for event in recorder.events()
+        if event.get("name") == TRANSITION_EVENT
+    ]
+
+
+@pytest.mark.parametrize("workload,algorithm,jobs", _SWITCH_CASES)
+def test_keeping_no_decisions_changes_only_the_log(workload, algorithm, jobs):
+    """``decisions=False`` drops the events, never a result or a count."""
+    full, lean = Recorder(), Recorder(decisions=False)
+    outcomes = []
+    for recorder in (NULL_RECORDER, full, lean):
+        with use_recorder(recorder):
+            result = optimize(
+                _SWITCH_WORKFLOWS[workload](),
+                algorithm,
+                budget=SearchBudget(jobs=jobs),
+            )
+        outcomes.append(
+            (
+                result.best_cost,
+                result.best.signature,
+                result.lineage,
+                result.visited_states,
+                result.completed,
+            )
+        )
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[2] == outcomes[0]
+    assert not _logged(lean)
+    counters = _transition_counters(full)
+    assert _transition_counters(lean) == counters
+    assert sum(counters.values()) == len(_logged(full)) > 0

@@ -14,11 +14,13 @@ Three planes under test against a real daemon:
 Observability must never change answers: the trace test re-checks that a
 served ``jobs=2`` result is byte-identical to a direct optimize.  And it
 must stay bounded: the daemon-lifetime recorder keeps instruments only,
-while request span trees live in the exemplar rings.
+while request span trees live in the exemplar rings, and a served search
+counts its transitions without building a decision log.
 """
 
 from __future__ import annotations
 
+import collections
 import os
 import re
 import urllib.error
@@ -29,11 +31,13 @@ import pytest
 from repro import SearchBudget, optimize
 from repro.obs import (
     CONTENT_TYPE,
+    TRANSITION_EVENT,
     Recorder,
     filter_trace,
     render_trace,
     run_top,
     set_recorder,
+    use_recorder,
 )
 from repro.serve import (
     BackgroundServer,
@@ -327,6 +331,38 @@ class TestDaemonRecorder:
         for reply in replies:
             names = {span["name"] for span in trees[reply["trace_id"]]}
             assert {"serve.request", "search.phase", "search.group"} <= names
+
+    def test_served_search_counts_transitions_without_a_decision_log(
+        self, monkeypatch
+    ):
+        built = collections.Counter()
+        record_event = Recorder.record_event
+
+        def counting(self, name, **fields):
+            built[name] += 1
+            record_event(self, name, **fields)
+
+        monkeypatch.setattr(Recorder, "record_event", counting)
+        workflow = generate_workload("small", seed=0).workflow
+        with BackgroundServer(ServeConfig()) as background:
+            with background.client() as client:
+                client.optimize(workflow.copy(), "hs")
+                counters = client.stats()["counters"]
+        assert built[TRANSITION_EVENT] == 0
+        direct = Recorder()
+        with use_recorder(direct):
+            optimize(workflow.copy(), "hs")
+        logged = [
+            event
+            for event in direct.events()
+            if event.get("name") == TRANSITION_EVENT
+        ]
+        served = sum(
+            value
+            for name, value in counters.items()
+            if name.startswith("search.transitions[")
+        )
+        assert served == len(logged) > 0
 
     def test_shutdown_hands_the_exemplar_trees_to_telemetry(
         self, tmp_path, capsys

@@ -126,6 +126,15 @@ class TestModels:
         with pytest.raises(ProtocolError, match="unknown cost model"):
             resolve_model("quadratic")
 
+    @pytest.mark.parametrize(
+        "name",
+        [["linear"], {"a": 1}, 5, True],
+        ids=["list", "object", "int", "bool"],
+    )
+    def test_non_string_model_rejected(self, name):
+        with pytest.raises(ProtocolError, match="model must be a str"):
+            resolve_model(name)
+
 
 class TestWorkflowCodec:
     def test_rejects_non_object(self):

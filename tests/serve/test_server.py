@@ -264,6 +264,36 @@ class TestOps:
                 assert excinfo.value.code == "bad-request", wire
                 assert client.ping(), wire
 
+    def test_malformed_request_fields_keep_the_connection_usable(
+        self, server
+    ):
+        """``model`` must be a string, ``stream`` a bool and ``tenant`` a
+        string; anything else is ``bad-request`` before the job queues."""
+        malformed = (
+            '{"model": ["linear"]}',
+            '{"model": {"a": 1}}',
+            '{"stream": "no"}',
+            '{"tenant": null}',
+        )
+        document = workflow_to_dict(_workflow())
+        with server.client() as client:
+            for wire in malformed:
+                events = []
+                with pytest.raises(ServeError) as excinfo:
+                    client.request(
+                        {
+                            "op": "optimize",
+                            "workflow": document,
+                            "algorithm": "es",
+                            "budget": BUDGET,
+                            **json.loads(wire),
+                        },
+                        on_event=events.append,
+                    )
+                assert excinfo.value.code == "bad-request", wire
+                assert not events, wire
+                assert client.ping(), wire
+
     def test_removed_bound_knob_is_bad_request(self, server):
         with server.client() as client:
             with pytest.raises(ServeError) as excinfo:
