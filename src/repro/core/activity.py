@@ -149,18 +149,20 @@ class Activity:
 
         Memoized per activity: during search the same activity sees the
         same input schemas across thousands of states, so schema
-        regeneration after a transition is mostly cache hits.
+        regeneration after a transition is mostly cache hits.  Rejections
+        repeat just as often; they are cached without a traceback, and
+        each hit raises a fresh ``SchemaError`` with the same message, so
+        no raise pins the frames it passes through.
         """
         cached = self._derive_cache.get(input_schemas)
         if cached is not None:
             if isinstance(cached, SchemaError):
-                raise cached
+                raise SchemaError(*cached.args)
             return cached
         try:
             output = self._derive_output_uncached(input_schemas)
         except SchemaError as exc:
-            # Rejections repeat just as often as successes during search.
-            self._derive_cache[input_schemas] = exc
+            self._derive_cache[input_schemas] = SchemaError(*exc.args)
             raise
         self._derive_cache[input_schemas] = output
         return output

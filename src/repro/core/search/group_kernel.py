@@ -18,9 +18,15 @@ per-position output schema, cardinality and cost, and prices
   costs (the latter memoized per tail cardinality).  Every term is its
   from-scratch value and ``fsum`` is order-independent, so the total
   equals ``estimate()`` of the materialized state exactly.
-* **signature** — the chain spliced into the base signature, the nodes
-  downstream of the tail re-rendered through
+* **signature** — the members' ``.``-joined ids joined between the
+  pieces of a template: the base rendered with the group's id segment
+  filled with U+0000 and with U+10FFFF, when both split into the same
+  pieces (the segment then decides no sort of branches or targets);
+  otherwise the nodes downstream of the tail re-rendered through
   :func:`~repro.core.signature.render_node`.
+* **member steps** — each member's output schema, cost and cardinality
+  (or ``SchemaError``, kept without its traceback) per input schema and
+  cardinality, memoized per kernel; reasons name the swap at hand.
 
 Each considered swap's decision event is the one
 :meth:`SearchState.try_successor` records, built only when the recorder
@@ -99,7 +105,7 @@ class GroupKernel:
             cost for node, cost in report.node_costs.items()
             if node not in inside
         ]
-        # The base's signature renderings; _signature overwrites the tail
+        # The base's signature renderings; _render overwrites the tail
         # and every downstream entry, in topological order, before any of
         # them is read, so the memo is reused in place.
         pred = workflow.graph._pred
@@ -110,6 +116,14 @@ class GroupKernel:
         self._prefix = f"{memo[provider]}."
         self._preds = [(node, pred[node]) for node in self._downstream]
         self._targets = workflow.targets()
+        # Splitting on the fill leaves no fill in any piece, so equal
+        # pieces contain neither extreme: the fill decides no sort.
+        low = self._render("\x00").split("\x00")
+        high = self._render("\U0010ffff").split("\U0010ffff")
+        self._pieces = low if low == high else None
+        #: (member, input schema, input cardinality) → (output schema,
+        #: cost, cardinality), or the member's SchemaError.
+        self._steps: dict[tuple, tuple | SchemaError] = {}
         self._guards: dict[tuple[Activity, Activity], str | None] = {}
         self._schema_errors: dict[Schema, SchemaError | None] = {
             derived[tail].output: None
@@ -198,13 +212,22 @@ class GroupKernel:
         card = parent.cards[index - 1] if index else self._in_card
         for position in range(index, last + 1):
             activity = members[position]
-            try:
-                schema = activity.derive_output((schema,))
-            except SchemaError as exc:
-                return str(swap.invalid_state(exc))
-            costs[position], card = activity_outputs(
-                self._model, activity, (card,)
-            )
+            key = (activity, schema, card)
+            step = self._steps.get(key)
+            if step is None:
+                try:
+                    output = activity.derive_output((schema,))
+                except SchemaError as exc:
+                    step = exc.with_traceback(None)
+                else:
+                    step = (
+                        output,
+                        *activity_outputs(self._model, activity, (card,)),
+                    )
+                self._steps[key] = step
+            if isinstance(step, SchemaError):
+                return str(swap.invalid_state(step))
+            schema, costs[position], card = step
             schemas[position], cards[position] = schema, card
             if (
                 position > index
@@ -241,7 +264,7 @@ class GroupKernel:
                     derived, set(self._workflow.consumers(self._tail))
                 )
             except SchemaError as exc:
-                error = exc
+                error = exc.with_traceback(None)
             self._schema_errors[tail_schema] = error
         return self._schema_errors[tail_schema]
 
@@ -262,8 +285,15 @@ class GroupKernel:
         return costs
 
     def _signature(self, members: list[Activity]) -> str:
+        segment = ".".join(m.id for m in members)
+        if self._pieces is not None:
+            return segment.join(self._pieces)
+        return self._render(segment)
+
+    def _render(self, segment: str) -> str:
+        """The base signature with the group's id segment replaced."""
         memo = self._memo
-        memo[self._tail] = self._prefix + ".".join(m.id for m in members)
+        memo[self._tail] = self._prefix + segment
         for node, pred in self._preds:
             memo[node] = render_node(node, pred, memo)
         return join_targets(self._targets, memo)

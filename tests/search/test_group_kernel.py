@@ -13,10 +13,13 @@ Two layers:
   large under ``-m slow``), with merge constraints and ``jobs=2``;
 * hand-built workflows for branches the generator never produces: a
   tail with fan-out, a swap that changes the tail's attribute set, a
-  last-ulp cardinality, a difference and two targets downstream, and
-  member ids containing ``"."``.  Every reachable ordering is also
+  last-ulp cardinality, a difference and two targets downstream, member
+  ids containing ``"."``, ``"//"`` and parentheses, a group inside a
+  union branch, ``dual_target_scenario()``, and two swaps that fail on
+  the same memoized member step.  Every reachable ordering is also
   checked against the materialized successor: verdict, reason, cost
-  (``==`` ``estimate()``) and signature.
+  (``==`` ``estimate()``) and signature, on both signature paths
+  (splice and re-render).
 """
 
 from __future__ import annotations
@@ -35,7 +38,11 @@ from repro.core.signature import state_signature
 from repro.core.transitions import Swap
 from repro.exceptions import ReproError
 from repro.obs import TRANSITION_EVENT, Recorder, summarize, use_recorder
-from repro.workloads import fig1_workflow, generate_workload
+from repro.workloads import (
+    dual_target_scenario,
+    fig1_workflow,
+    generate_workload,
+)
 
 _UNCOUNTED = "search.delta_recost_nodes"
 
@@ -99,10 +106,14 @@ def _assert_kernel_matches_twin(workflow, **kwargs):
         assert kernel[part] == twin[part], part
 
 
-def _first_pair(workflow):
+def _first_group(workflow):
     workflow.validate()
     workflow.propagate_schemas()
-    group = next(g for g in workflow.local_groups() if len(g) >= 2)
+    return next(g for g in workflow.local_groups() if len(g) >= 2)
+
+
+def _first_pair(workflow):
+    group = _first_group(workflow)
     return (group[0].id, group[1].id)
 
 
@@ -246,6 +257,69 @@ def _dotted_ids():
     return b.build(), ["a", "a.a", "b"]
 
 
+def _punctuated_ids():
+    """Member ids made of the signature's own punctuation."""
+    b = WorkflowBuilder()
+    src = b.source("S", ["K", "A", "B"], 1000, id="S")
+    tail = b.chain(
+        src,
+        _filter(b, "A", 0.5, "a//b"),
+        _filter(b, "B", 0.4, "(c)"),
+        _filter(b, "K", 0.3, "d.e"),
+    )
+    b.target("T", ["K", "A", "B"], tail, id="T")
+    return b.build(), ["a//b", "(c)", "d.e"]
+
+
+def _union_branch():
+    """S1 -> 1 -> 2 -> U <- S2 -> 3: the union's branches sort at the
+    source ids, so the group's segment sits in a sorted branch without
+    deciding the sort."""
+    b = WorkflowBuilder()
+    schema = ["K", "A", "B"]
+    left = b.chain(
+        b.source("S1", schema, 1000, id="S1"),
+        _filter(b, "A", 0.5, "1"),
+        _filter(b, "B", 0.2, "2"),
+    )
+    right = b.chain(
+        b.source("S2", schema, 500, id="S2"), _filter(b, "K", 0.7, "3")
+    )
+    union = b.combine("union", left, right, id="U")
+    b.target("T", schema, union, id="T")
+    return b.build(), ["1", "2"]
+
+
+def _regenerated_attribute():
+    """S -> 1 -> 2 -> 3: 1 and 3 both generate X, and 2 projects X out
+    between them.  SWA(1,2) and SWA(2,3) fail on the same member step (3
+    on the flow that already holds X), so each reason must still name
+    its own swap."""
+    b = WorkflowBuilder()
+    src = b.source("S", ["K", "A", "B"], 1000, id="S")
+
+    def generate(attr, id):
+        return b.activity(
+            "function_apply",
+            {"function": "f", "inputs": [attr], "output": "X",
+             "drop_inputs": False},
+            id=id,
+        )
+
+    project = b.activity("projection", {"attrs": ["X"]}, id="2")
+    tail = b.chain(src, generate("A", "1"), project, generate("B", "3"))
+    b.target("T", ["K", "A", "B", "X"], tail, id="T")
+    return b.build(), ["1", "2", "3"]
+
+
+def _dual_target():
+    """Two targets whose signatures part right after the shared source:
+    the group's segment decides their order."""
+    workflow = dual_target_scenario().workflow
+    group = _first_group(workflow.copy())
+    return workflow, [member.id for member in group]
+
+
 _HAND_BUILT = {
     "tail-fan-out": _tail_fan_out,
     "tail-attribute-set-union": lambda: _tail_attribute_set("union"),
@@ -253,7 +327,15 @@ _HAND_BUILT = {
     "last-ulp": _last_ulp,
     "difference-two-targets": _difference_two_targets,
     "dotted-ids": _dotted_ids,
+    "punctuated-ids": _punctuated_ids,
+    "union-branch": _union_branch,
+    "dual-target": _dual_target,
+    "regenerated-attribute": _regenerated_attribute,
 }
+
+#: Hand-built groups whose segment decides a sort, so every ordering
+#: re-renders the signature instead of splicing it.
+_RENDERED = {"difference-two-targets", "dual-target"}
 
 
 def _explore(workflow, member_ids, greedy):
@@ -373,6 +455,18 @@ class TestHandBuilt:
         _, successor, _ = steps[0]
         assert "((S.4)//(S.5.3)).7" in successor.signature
 
+    @pytest.mark.parametrize("name", sorted(_HAND_BUILT))
+    def test_signature_path(self, name):
+        workflow, members = _HAND_BUILT[name]()
+        model = ProcessedRowsCostModel()
+        kernel = GroupKernel(
+            SearchState.initial(workflow, model),
+            [workflow.node_by_id(member) for member in members],
+            model,
+            "HS",
+        )
+        assert (kernel._pieces is None) == (name in _RENDERED)
+
     def test_dotted_ids_dedupe_on_the_signature(self):
         workflow, members = _dotted_ids()
         (path, explored), _ = _explore(workflow, members, greedy=False)
@@ -381,6 +475,26 @@ class TestHandBuilt:
         # SWA(a,a.a) renders like the base ordering, so it is never new.
         assert state_signature(workflow) == "S.a.a.a.b.T"
         assert "S.a.a.a.b.T" not in signatures
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_every_searched_group_splices(seed, monkeypatch):
+    """fig1 (``seed`` None) and small seeds 0-2."""
+    if seed is None:
+        workflow = fig1_workflow().workflow
+    else:
+        workflow = generate_workload("small", seed=seed).workflow
+    spliced = []
+    build = GroupKernel.__init__
+
+    def recording(self, *args):
+        build(self, *args)
+        spliced.append(self._pieces is not None)
+
+    monkeypatch.setattr(GroupKernel, "__init__", recording)
+    for greedy in (False, True):
+        heuristic_search(workflow.copy(), greedy=greedy)
+    assert spliced and all(spliced)
 
 
 def test_cost_oracle_catches_a_divergent_kernel(monkeypatch):

@@ -1,5 +1,8 @@
 """HS and HS-Greedy: phases, merge constraints, budgets, quality."""
 
+import gc
+import types
+
 import pytest
 
 from repro.core.activity import CompositeActivity
@@ -10,7 +13,14 @@ from repro.core.search import (
     heuristic_search,
 )
 from repro.engine import Executor, empirically_equivalent
+from repro.exceptions import SchemaError
 from repro.workloads import generate_workload
+
+
+def _live_tracebacks():
+    return sum(
+        isinstance(obj, types.TracebackType) for obj in gc.get_objects()
+    )
 
 
 class TestHeuristicSearch:
@@ -43,6 +53,25 @@ class TestHeuristicSearch:
         for scenario in (fig1, two_branch):
             result = heuristic_search(scenario.workflow)
             assert result.best_cost <= result.initial_cost
+
+    def test_repeated_runs_leave_no_traceback_alive(self):
+        # A rejection's traceback pins every frame it passes through, and
+        # those frames hold the orderings and states being priced.
+        workflow = generate_workload("small", seed=0).workflow
+        gc.collect()
+        before = _live_tracebacks()
+        for _ in range(2):
+            heuristic_search(workflow)
+        gc.collect()
+        cached = [
+            value
+            for activity in workflow.activities()
+            for value in activity._derive_cache.values()
+            if isinstance(value, SchemaError)
+        ]
+        assert cached, "the search must cache a rejection"
+        assert all(error.__traceback__ is None for error in cached)
+        assert _live_tracebacks() == before
 
     def test_deterministic(self, two_branch):
         first = heuristic_search(two_branch.workflow)

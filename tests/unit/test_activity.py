@@ -1,5 +1,7 @@
 """Unit tests for activities and composite (merged) activities."""
 
+import traceback
+
 import pytest
 
 from repro.core.activity import Activity, CompositeActivity, base_clone_id
@@ -148,6 +150,24 @@ class TestDeriveOutput:
         for _ in range(2):
             with pytest.raises(SchemaError):
                 activity.derive_output((Schema(["V1"]),))
+
+    def test_derive_cache_failure_raises_a_fresh_error_per_hit(self):
+        # One cached instance raised again and again grows its traceback
+        # by every frame it passes through, and keeps those frames alive.
+        activity = selection(attr="GHOST")
+        with pytest.raises(SchemaError):
+            activity.derive_output((Schema(["V1"]),))
+        caught = []
+        for _ in range(50):
+            with pytest.raises(SchemaError) as info:
+                activity.derive_output((Schema(["V1"]),))
+            caught.append(info.value)
+        assert len({id(error) for error in caught}) == 50
+        assert len({str(error) for error in caught}) == 1
+        depths = {
+            len(traceback.extract_tb(error.__traceback__)) for error in caught
+        }
+        assert len(depths) == 1
 
 
 class TestSemanticsKey:
