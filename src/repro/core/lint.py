@@ -197,11 +197,9 @@ def _ancestors(workflow: ETLWorkflow, node, via) -> set:
     the warning.  Branch membership therefore excludes any node that also
     reaches ``node`` through a different provider.
     """
-    import networkx as nx
-
-    ancestors = nx.ancestors(workflow.graph, via) | {via}
+    ancestors = workflow.upstream(via) | {via}
     for other in workflow.providers(node):
         if other is via:
             continue
-        ancestors -= nx.ancestors(workflow.graph, other) | {other}
+        ancestors -= workflow.upstream(other) | {other}
     return ancestors

@@ -63,7 +63,7 @@ def dominance_class(workflow: ETLWorkflow) -> str:
         for member in group[:-1]:
             group_token[member] = None
     memo: dict[Node, str] = {}
-    graph_pred = workflow.graph._pred
+    graph_pred = workflow.pred
     for node in workflow.topological_order():
         pred = graph_pred[node]
         if node in group_token:
@@ -82,7 +82,7 @@ def dominance_class(workflow: ETLWorkflow) -> str:
             if _is_commutative(node):
                 branches = sorted(f"({memo[p]})" for p in pred)
             else:
-                ordered = sorted(pred, key=lambda p: pred[p]["port"])
+                ordered = sorted(pred, key=pred.__getitem__)
                 branches = [f"({memo[p]})" for p in ordered]
             memo[node] = f"({'//'.join(branches)}).{node.id}"
     targets = workflow.targets()

@@ -108,7 +108,7 @@ class GroupKernel:
         # The base's signature renderings; _render overwrites the tail
         # and every downstream entry, in topological order, before any of
         # them is read, so the memo is reused in place.
-        pred = workflow.graph._pred
+        pred = workflow.pred
         memo: dict = {}
         for node in order:
             memo[node] = render_node(node, pred[node], memo)

@@ -40,15 +40,15 @@ def state_signature(workflow: ETLWorkflow) -> str:
     transition application itself became incremental.
     """
     memo: dict[Node, str] = {}
-    graph_pred = workflow.graph._pred
+    pred = workflow.pred
     for node in workflow.topological_order():
-        memo[node] = render_node(node, graph_pred[node], memo)
+        memo[node] = render_node(node, pred[node], memo)
     return join_targets(workflow.targets(), memo)
 
 
 def render_node(node: Node, pred: dict, memo: dict[Node, str]) -> str:
     """One node's signature rendering from its providers' (``pred`` is
-    the node's networkx predecessor dict, ``memo`` holds the providers)."""
+    the node's {provider: port} map, ``memo`` holds the providers)."""
     if not pred:
         return str(node.id)
     if len(pred) == 1:
@@ -59,7 +59,7 @@ def render_node(node: Node, pred: dict, memo: dict[Node, str]) -> str:
         # port order of the providers is irrelevant.
         branches = sorted(f"({memo[p]})" for p in pred)
     else:
-        ordered = sorted(pred, key=lambda p: pred[p]["port"])
+        ordered = sorted(pred, key=pred.__getitem__)
         branches = [f"({memo[p]})" for p in ordered]
     return f"({'//'.join(branches)}).{node.id}"
 
@@ -111,7 +111,7 @@ def workflow_fingerprint(workflow: ETLWorkflow) -> str:
             )
     edges = sorted(
         (provider.id, consumer.id, workflow.edge_port(provider, consumer))
-        for provider, consumer in workflow.graph.edges
+        for provider, consumer in workflow.edges()
     )
     lines.extend(f"edge:{p}->{c}#{port}" for p, c, port in edges)
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()

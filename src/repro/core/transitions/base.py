@@ -176,7 +176,7 @@ class Transition(abc.ABC):
                 f"{len(position)} nodes, slow state has "
                 f"{len(slow.topological_order())}"
             )
-        for provider, consumer in successor.graph.edges:
+        for provider, consumer in successor.edges():
             if position[provider] >= position[consumer]:
                 raise AssertionError(
                     f"cost oracle: {self.describe()} patched topological "

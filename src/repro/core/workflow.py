@@ -8,8 +8,8 @@ and the *local groups* decomposition HS uses (maximal linear paths of unary
 activities, bounded by binary activities and recordsets).
 
 Binary activities have ordered inputs: every edge carries a ``port``
-attribute (0 or 1); difference is the only shipped non-commutative binary,
-but ports are maintained uniformly.
+(0 or 1); difference is the only shipped non-commutative binary, but
+ports are maintained uniformly.
 
 Workflows are mutable while being built; search code treats states as
 immutable and lets transitions work on :meth:`ETLWorkflow.copy` copies
@@ -22,8 +22,6 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterator
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.core.activity import Activity
 from repro.core.recordset import RecordSet, RecordSetKind
@@ -47,8 +45,11 @@ class ETLWorkflow:
     """A directed acyclic graph of activities and recordsets."""
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
-        self._ids: set[str] = set()
+        # Adjacency, node → {neighbour: port}; both outer dicts keep node
+        # insertion order, which fixes the order of nodes() and edges().
+        self._succ: dict[Node, dict[Node, int]] = {}
+        self._pred: dict[Node, dict[Node, int]] = {}
+        self._by_id: dict[str, Node] = {}
         self._topo_cache: list[Node] | None = None
         self._providers_cache: dict[Node, list[Node]] | None = None
         self._consumers_cache: dict[Node, list[Node]] | None = None
@@ -61,15 +62,15 @@ class ETLWorkflow:
         self._owned_succ: set[Node] = set()
         self._owned_pred: set[Node] = set()
 
-    def _own_succ(self, node: Node) -> dict:
-        succ = self._graph._succ
+    def _own_succ(self, node: Node) -> dict[Node, int]:
+        succ = self._succ
         if node not in self._owned_succ:
             succ[node] = dict(succ[node])
             self._owned_succ.add(node)
         return succ[node]
 
-    def _own_pred(self, node: Node) -> dict:
-        pred = self._graph._pred
+    def _own_pred(self, node: Node) -> dict[Node, int]:
+        pred = self._pred
         if node not in self._owned_pred:
             pred[node] = dict(pred[node])
             self._owned_pred.add(node)
@@ -108,14 +109,15 @@ class ETLWorkflow:
         """Add an activity or recordset; returns it for chaining."""
         if not isinstance(node, (Activity, RecordSet)):
             raise WorkflowError(f"not a workflow node: {node!r}")
-        if node in self._graph:
+        if node in self._succ:
             raise WorkflowError(f"node {node!r} already in workflow")
-        if node.id in self._ids:
+        if node.id in self._by_id:
             raise WorkflowError(f"duplicate node id {node.id!r}: {node!r}")
-        self._graph.add_node(node)
+        self._succ[node] = {}
+        self._pred[node] = {}
         self._owned_succ.add(node)
         self._owned_pred.add(node)
-        self._ids.add(node.id)
+        self._by_id[node.id] = node
         self._invalidate()
         return node
 
@@ -126,17 +128,18 @@ class ETLWorkflow:
         1 = right); unary consumers always use port 0.
         """
         for node in (provider, consumer):
-            if node not in self._graph:
+            if node not in self:
                 raise WorkflowError(f"node {node!r} not in workflow")
-        if port not in (0, 1):
-            raise WorkflowError(f"port must be 0 or 1, got {port}")
-        if self._graph.has_edge(provider, consumer):
+        # Exactly int: True and 1.0 compare equal to 1 but would render
+        # differently in fingerprints and serialized documents.
+        if type(port) is not int or port not in (0, 1):
+            raise WorkflowError(f"port must be 0 or 1, got {port!r}")
+        if consumer in self._succ[provider]:
             raise WorkflowError(
                 f"edge {provider.id} -> {consumer.id} already exists"
             )
-        data = {"port": port}
-        self._own_succ(provider)[consumer] = data
-        self._own_pred(consumer)[provider] = data
+        self._own_succ(provider)[consumer] = port
+        self._own_pred(consumer)[provider] = port
         self._invalidate_edge(provider, consumer)
 
     def remove_edge(self, provider: Node, consumer: Node) -> None:
@@ -150,51 +153,42 @@ class ETLWorkflow:
         self._invalidate_edge(provider, consumer)
 
     def remove_node(self, node: Node) -> None:
-        graph = self._graph
-        if node not in graph._node:
+        if node not in self:
             raise WorkflowError(f"node {node!r} not in workflow")
-        for consumer in list(graph._succ[node]):
+        for consumer in self._succ.pop(node):
             del self._own_pred(consumer)[node]
-        for provider in list(graph._pred[node]):
+        for provider in self._pred.pop(node):
             del self._own_succ(provider)[node]
-        del graph._node[node]
-        del graph._succ[node]
-        del graph._pred[node]
         self._owned_succ.discard(node)
         self._owned_pred.discard(node)
-        self._ids.discard(node.id)
+        del self._by_id[node.id]
         self._invalidate()
 
     def copy(self) -> "ETLWorkflow":
         """A copy-on-write structural copy sharing the node objects.
 
         State generation is the search hot path, so instead of cloning
-        the adjacency (as ``nx.DiGraph.copy`` would, one Python-level
-        insert per node and edge), the copy *shares* the parent's inner
-        succ/pred dicts and owns none of them; every graph mutation goes
-        through this class, and the mutators clone an inner dict the
-        first time they touch it (``_own_succ``/``_own_pred``).  A SWA
-        successor therefore clones four small dicts out of ~2·N.
+        the adjacency (one Python-level insert per node and edge), the
+        copy *shares* the parent's inner succ/pred dicts and owns none of
+        them; every graph mutation goes through this class, and the
+        mutators clone an inner dict the first time they touch it
+        (``_own_succ``/``_own_pred``).  A SWA successor therefore clones
+        four small dicts out of ~2·N.
 
-        Node-attribute dicts are shared too (nothing ever writes them);
-        edge-data dicts are shared because :meth:`add_edge` refuses
-        duplicate edges, so a data dict is never updated in place.  The
-        adjacency caches carry over; rewiring evicts what it touches.
+        The adjacency caches carry over; rewiring evicts what it touches.
         The parent must not be mutated afterwards — search code treats
         states as immutable once explored, which is what makes the
         sharing sound.
         """
         duplicate = ETLWorkflow()
-        graph = duplicate._graph
-        graph._node.update(self._graph._node)
-        graph._succ.update(self._graph._succ)
-        graph._pred.update(self._graph._pred)
+        duplicate._succ.update(self._succ)
+        duplicate._pred.update(self._pred)
         # Both sides now share the inner dicts, so neither may write them
         # in place: dropping this instance's ownership forces any later
         # mutation of *either* side through the clone-on-write path.
         self._owned_succ.clear()
         self._owned_pred.clear()
-        duplicate._ids = set(self._ids)
+        duplicate._by_id.update(self._by_id)
         if self._providers_cache is not None:
             duplicate._providers_cache = dict(self._providers_cache)
         if self._consumers_cache is not None:
@@ -205,24 +199,35 @@ class ETLWorkflow:
     # -- inspection --------------------------------------------------------------
 
     @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying networkx graph (read-only by convention)."""
-        return self._graph
+    def pred(self) -> dict[Node, dict[Node, int]]:
+        """node → {provider: port} (read-only by convention)."""
+        return self._pred
 
     def __contains__(self, node: object) -> bool:
-        return node in self._graph
+        try:
+            return node in self._succ
+        except TypeError:  # unhashable, so never a node
+            return False
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._succ)
 
     def nodes(self) -> Iterator[Node]:
-        return iter(self._graph._node)
+        return iter(self._succ)
 
     def activities(self) -> Iterator[Activity]:
-        return (n for n in self._graph._node if isinstance(n, Activity))
+        return (n for n in self._succ if isinstance(n, Activity))
 
     def recordsets(self) -> Iterator[RecordSet]:
-        return (n for n in self._graph._node if isinstance(n, RecordSet))
+        return (n for n in self._succ if isinstance(n, RecordSet))
+
+    def edges(self) -> Iterator[tuple[Node, Node]]:
+        """Every (provider, consumer) pair: providers in node insertion
+        order, each provider's consumers in edge insertion order."""
+        return ((p, c) for p, consumers in self._succ.items() for c in consumers)
+
+    def has_edge(self, provider: Node, consumer: Node) -> bool:
+        return provider in self and consumer in self._succ[provider]
 
     def sources(self) -> list[RecordSet]:
         """The recordsets in RS_S, ordered by id."""
@@ -240,10 +245,10 @@ class ETLWorkflow:
         return cached
 
     def node_by_id(self, node_id: str) -> Node:
-        for node in self._graph.nodes:
-            if node.id == node_id:
-                return node
-        raise WorkflowError(f"no node with id {node_id!r}")
+        try:
+            return self._by_id[node_id]
+        except KeyError:
+            raise WorkflowError(f"no node with id {node_id!r}") from None
 
     def providers(self, node: Node) -> list[Node]:
         """Data providers of ``node``, ordered by input port (cached)."""
@@ -253,11 +258,11 @@ class ETLWorkflow:
             self._providers_cache = cache
         cached = cache.get(node)
         if cached is None:
-            pred = self._graph._pred[node]
+            pred = self._pred[node]
             if len(pred) <= 1:
                 cached = list(pred)
             else:
-                cached = sorted(pred, key=lambda p: pred[p]["port"])
+                cached = sorted(pred, key=pred.__getitem__)
             cache[node] = cached
         return cached
 
@@ -269,7 +274,7 @@ class ETLWorkflow:
             self._consumers_cache = cache
         cached = cache.get(node)
         if cached is None:
-            succ = self._graph._succ[node]
+            succ = self._succ[node]
             if len(succ) <= 1:
                 cached = list(succ)
             else:
@@ -278,7 +283,7 @@ class ETLWorkflow:
         return cached
 
     def edge_port(self, provider: Node, consumer: Node) -> int:
-        return self._graph._succ[provider][consumer]["port"]
+        return self._succ[provider][consumer]
 
     def topological_order(self) -> list[Node]:
         """A deterministic topological order (ties broken by node id).
@@ -290,8 +295,8 @@ class ETLWorkflow:
         per state.
         """
         if self._topo_cache is None:
-            pred = self._graph._pred
-            succ = self._graph._succ
+            pred = self._pred
+            succ = self._succ
             in_degree = {node: len(pred[node]) for node in pred}
             ready = [
                 (node.id, node) for node, degree in in_degree.items() if degree == 0
@@ -323,7 +328,11 @@ class ETLWorkflow:
 
     def downstream(self, node: Node) -> set[Node]:
         """All nodes reachable from ``node`` (excluding itself)."""
-        return set(nx.descendants(self._graph, node))
+        return _reach(self._succ, node)
+
+    def upstream(self, node: Node) -> set[Node]:
+        """All nodes that reach ``node`` (excluding itself)."""
+        return _reach(self._pred, node)
 
     # -- validation -----------------------------------------------------------------
 
@@ -334,12 +343,12 @@ class ETLWorkflow:
         not a DAG, an activity lacks a provider or consumer, an arity does
         not match the in-degree, or input ports are wired inconsistently.
         """
-        if self._graph.number_of_nodes() == 0:
+        if not self._succ:
             raise WorkflowError("empty workflow")
         self.topological_order()  # raises on cycles
-        pred = self._graph.pred
-        succ = self._graph.succ
-        for node in self._graph.nodes:
+        pred = self._pred
+        succ = self._succ
+        for node in succ:
             in_deg = len(pred[node])
             out_deg = len(succ[node])
             if isinstance(node, Activity):
@@ -352,9 +361,7 @@ class ETLWorkflow:
                     raise WorkflowError(
                         f"activity {node.id} ({node.name}) has no consumer"
                     )
-                ports = sorted(
-                    data["port"] for data in pred[node].values()
-                )
+                ports = sorted(pred[node].values())
                 expected = list(range(node.arity))
                 if ports != expected:
                     raise WorkflowError(
@@ -515,11 +522,11 @@ class ETLWorkflow:
         :meth:`validate`.
         """
         self.topological_order()  # raises on cycles
-        pred = self._graph._pred
-        succ = self._graph._succ
+        pred = self._pred
+        succ = self._succ
         scope: set[Node] = set()
         for node in affected:
-            if node not in self._graph:
+            if node not in succ:
                 continue
             scope.add(node)
             scope.update(pred[node])
@@ -537,9 +544,7 @@ class ETLWorkflow:
                     raise WorkflowError(
                         f"activity {node.id} ({node.name}) has no consumer"
                     )
-                ports = sorted(
-                    data["port"] for data in pred[node].values()
-                )
+                ports = sorted(pred[node].values())
                 if ports != list(range(node.arity)):
                     raise WorkflowError(
                         f"activity {node.id}: input ports {ports} != "
@@ -623,3 +628,17 @@ class ETLWorkflow:
         n_act = sum(1 for _ in self.activities())
         n_rs = sum(1 for _ in self.recordsets())
         return f"ETLWorkflow({n_act} activities, {n_rs} recordsets)"
+
+
+def _reach(adjacency: dict[Node, dict[Node, int]], node: Node) -> set[Node]:
+    """Every node an iterative DFS reaches from ``node`` over
+    ``adjacency``, ``node`` itself excluded even on a cycle."""
+    seen = {node}
+    stack = [node]
+    while stack:
+        for neighbour in adjacency[stack.pop()]:
+            if neighbour not in seen:
+                seen.add(neighbour)
+                stack.append(neighbour)
+    seen.discard(node)
+    return seen

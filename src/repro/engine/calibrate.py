@@ -114,7 +114,7 @@ def apply_selectivities(
         replacement = rebuild(node)
         rebuilt.add_node(replacement)
         mapping[node] = replacement
-    for provider, consumer in workflow.graph.edges:
+    for provider, consumer in workflow.edges():
         rebuilt.add_edge(
             mapping[provider],
             mapping[consumer],

@@ -215,7 +215,7 @@ def explain_dot(
             lines.append(
                 f'  "{node_id}" [shape=ellipse, label="{label}"];'
             )
-    for provider, consumer in workflow.graph.edges:
+    for provider, consumer in workflow.edges():
         lines.append(
             f'  "{_dot_escape(provider.id)}" -> '
             f'"{_dot_escape(consumer.id)}";'

@@ -107,7 +107,7 @@ def workflow_to_dict(workflow: ETLWorkflow) -> dict[str, Any]:
             "consumer": consumer.id,
             "port": workflow.edge_port(provider, consumer),
         }
-        for provider, consumer in workflow.graph.edges
+        for provider, consumer in workflow.edges()
     ]
     edges.sort(key=lambda e: (e["consumer"], e["port"], e["provider"]))
     return {"format_version": FORMAT_VERSION, "nodes": nodes, "edges": edges}

@@ -43,7 +43,7 @@ def to_dot(workflow: ETLWorkflow, title: str = "ETL workflow") -> str:
             label = _dot_escape(f"{node.id}: {node.name}")
             style = ", style=dashed" if isinstance(node, CompositeActivity) else ""
             lines.append(f'  "{node_id}" [shape=ellipse, label="{label}"{style}];')
-    for provider, consumer in workflow.graph.edges:
+    for provider, consumer in workflow.edges():
         port = workflow.edge_port(provider, consumer)
         attrs = f' [label="{port}"]' if _needs_port_label(consumer) else ""
         lines.append(

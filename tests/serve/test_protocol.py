@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro import SearchBudget, optimize
+from repro.io.json_io import workflow_to_dict
 from repro.serve.protocol import (
     MODELS,
     ProtocolError,
@@ -144,6 +145,13 @@ class TestWorkflowCodec:
     def test_rejects_invalid_document(self):
         with pytest.raises(ProtocolError, match="invalid workflow"):
             workflow_from_request({"activities": "nope"})
+
+    def test_rejects_a_boolean_port(self):
+        document = workflow_to_dict(fig1_workflow().workflow)
+        (edge,) = [e for e in document["edges"] if e["port"] == 1]
+        edge["port"] = True
+        with pytest.raises(ProtocolError, match="got True"):
+            workflow_from_request(json.loads(json.dumps(document)))
 
 
 class TestResultCodec:

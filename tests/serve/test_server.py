@@ -294,6 +294,26 @@ class TestOps:
                 assert not events, wire
                 assert client.ping(), wire
 
+    def test_boolean_port_is_bad_request(self, server):
+        """``"port": true`` equals 1 in Python but is not a port: it
+        would fingerprint differently and miss the memo."""
+        document = workflow_to_dict(fig1_workflow().workflow)
+        (edge,) = [e for e in document["edges"] if e["port"] == 1]
+        edge["port"] = True
+        with server.client() as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.request(
+                    {
+                        "op": "optimize",
+                        "workflow": document,
+                        "algorithm": "hs",
+                        "budget": BUDGET,
+                    }
+                )
+            assert excinfo.value.code == "bad-request"
+            assert "port" in str(excinfo.value)
+            assert client.ping()
+
     def test_removed_bound_knob_is_bad_request(self, server):
         with server.client() as client:
             with pytest.raises(ServeError) as excinfo:

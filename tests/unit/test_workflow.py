@@ -1,13 +1,19 @@
 """Unit tests for the workflow graph: structure, propagation, local groups."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.activity import Activity
 from repro.core.recordset import RecordSet, RecordSetKind
 from repro.core.schema import Schema
 from repro.core.workflow import ETLWorkflow
 from repro.exceptions import SchemaError, WorkflowError
 from repro.templates import builtin as t
+from repro.workloads import fig1_workflow, generate_workload
 
 
 def source(node_id="1", name="S", attrs=("KEY", "V1"), cardinality=100.0):
@@ -65,6 +71,23 @@ class TestConstruction:
         with pytest.raises(WorkflowError, match="port"):
             wf.add_edge(src, nn, port=2)
 
+    @pytest.mark.parametrize("port", [True, False, 1.0, 0.0, "1"])
+    def test_port_must_be_an_int(self, port):
+        # True == 1 and 1.0 == 1, but they would render as "#True" and
+        # "#1.0" in the fingerprint and round-trip as true/1.0 in JSON.
+        wf = ETLWorkflow()
+        src = wf.add_node(source())
+        nn = wf.add_node(filter_activity())
+        with pytest.raises(WorkflowError, match=f"got {port!r}$"):
+            wf.add_edge(src, nn, port=port)
+        assert not wf.has_edge(src, nn)
+
+    def test_unhashable_is_not_a_node(self):
+        wf, src, *_ = linear_workflow()
+        assert [] not in wf
+        with pytest.raises(WorkflowError, match="not in workflow"):
+            wf.add_edge([], src)
+
     def test_non_node_rejected(self):
         with pytest.raises(WorkflowError, match="not a workflow node"):
             ETLWorkflow().add_node("not-a-node")
@@ -74,6 +97,15 @@ class TestConstruction:
         assert wf.node_by_id("2") is nn
         with pytest.raises(WorkflowError):
             wf.node_by_id("404")
+
+    def test_removed_node_leaves_the_id_index(self):
+        wf, src, nn, dst = linear_workflow()
+        wf.remove_node(nn)
+        with pytest.raises(WorkflowError, match="no node with id '2'"):
+            wf.node_by_id(nn.id)
+        assert wf.downstream(src) == set()
+        assert wf.upstream(dst) == set()
+        assert list(wf.edges()) == []
 
 
 class TestValidate:
@@ -220,8 +252,8 @@ class TestTopology:
         dup = wf.copy()
         assert nn in dup
         dup.remove_edge(nn, dst)
-        assert wf.graph.has_edge(nn, dst)
-        assert not dup.graph.has_edge(nn, dst)
+        assert wf.has_edge(nn, dst)
+        assert not dup.has_edge(nn, dst)
 
     def test_sources_and_targets(self):
         wf, src, _, dst = linear_workflow()
@@ -237,6 +269,73 @@ class TestTopology:
         wf, src, *_ = linear_workflow()
         assert len(wf) == 3
         assert src in wf
+
+
+def _closure(start, neighbours):
+    """Transitive closure of ``neighbours`` from ``start``, by BFS."""
+    seen, frontier = set(), list(neighbours(start))
+    while frontier:
+        node = frontier.pop(0)
+        if node not in seen:
+            seen.add(node)
+            frontier.extend(neighbours(node))
+    return seen
+
+
+GRAPHS = [
+    pytest.param(lambda: fig1_workflow().workflow, id="fig1"),
+    *(
+        pytest.param(
+            lambda seed=seed: generate_workload("small", seed=seed).workflow,
+            id=f"small-{seed}",
+        )
+        for seed in range(4)
+    ),
+    pytest.param(
+        lambda: generate_workload("medium", seed=0).workflow, id="medium-0"
+    ),
+]
+
+
+class TestGraphQueries:
+    @pytest.mark.parametrize("build", GRAPHS)
+    def test_reach_is_the_closure_of_the_adjacency(self, build):
+        wf = build()
+        for node in wf.nodes():
+            assert wf.downstream(node) == _closure(node, wf.consumers)
+            assert wf.upstream(node) == _closure(node, wf.providers)
+
+    @pytest.mark.parametrize("build", GRAPHS)
+    def test_edges_match_the_adjacency(self, build):
+        wf = build()
+        edges = list(wf.edges())
+        assert len(edges) == len(set(edges))
+        assert set(edges) == {
+            (p, c) for p in wf.nodes() for c in wf.consumers(p)
+        }
+        assert all(wf.has_edge(p, c) for p, c in edges)
+        # Providers come in node insertion order.
+        order = {node: index for index, node in enumerate(wf.nodes())}
+        ranks = [order[p] for p, _ in edges]
+        assert ranks == sorted(ranks)
+
+
+def test_no_graph_library_is_imported():
+    """The package imports no third-party graph library at run time."""
+    probe = (
+        "import sys\n"
+        "import repro, repro.cli, repro.serve.server, repro.engine\n"
+        "import repro.io, repro.workloads, repro.core.lint\n"
+        "assert 'networkx' not in sys.modules, 'networkx imported'\n"
+    )
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestLocalGroups:
