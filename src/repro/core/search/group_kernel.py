@@ -27,6 +27,13 @@ per-position output schema, cardinality and cost, and prices
 * **member steps** — each member's output schema, cost and cardinality
   (or ``SchemaError``, kept without its traceback) per input schema and
   cardinality, memoized per kernel; reasons name the swap at hand.
+* **orderings** — each valid ordering is kept per kernel, keyed by its
+  member tuple, and every later swap that reaches the same tuple (the
+  reverse of the move that made the parent, or a second path to it)
+  returns the kept one.  The swap's own pair checks — condition 2 at a
+  fan-out tail, then the semantic guard — run first, because their
+  verdicts depend on the pair and not on the ordering; rejections are
+  not kept.
 
 Each considered swap's decision event is the one
 :meth:`SearchState.try_successor` records, built only when the recorder
@@ -125,6 +132,8 @@ class GroupKernel:
         #: cost, cardinality), or the member's SchemaError.
         self._steps: dict[tuple, tuple | SchemaError] = {}
         self._guards: dict[tuple[Activity, Activity], str | None] = {}
+        #: Member tuple → the valid ordering priced for it.
+        self._orderings: dict[tuple[Activity, ...], Ordering] = {}
         self._schema_errors: dict[Schema, SchemaError | None] = {
             derived[tail].output: None
         }
@@ -205,6 +214,10 @@ class GroupKernel:
 
         members = list(parent.members)
         members[index], members[index + 1] = swap.second, swap.first
+        swapped = tuple(members)
+        known = self._orderings.get(swapped)
+        if known is not None:
+            return known
         schemas, cards, costs = (
             list(parent.schemas), list(parent.cards), list(parent.costs)
         )
@@ -243,14 +256,15 @@ class GroupKernel:
                 self._static_costs, costs, self._downstream_cost(cards[last])
             )
         )
-        return Ordering(
-            members=tuple(members),
+        ordering = self._orderings[swapped] = Ordering(
+            members=swapped,
             schemas=tuple(schemas),
             cards=tuple(cards),
             costs=tuple(costs),
             cost=cost,
             signature=self._signature(members),
         )
+        return ordering
 
     def _downstream_error(self, tail_schema: Schema) -> SchemaError | None:
         """The first downstream schema failure under a tail schema."""

@@ -558,9 +558,10 @@ def _shift_state(
 # -- Phase I / IV: local-group ordering optimization -------------------------------------
 #
 # Each group is explored *hermetically*: a pure function of the base
-# workflow and the group's member ids, with a freshly-estimated base cost
-# report so a worker process computes bit-identical floats to an in-process
-# run.  The main process then composes the outcomes in group order —
+# workflow and the group's member ids.  A worker process re-estimates the
+# base cost report; an in-process task takes the caller's delta-maintained
+# one, which equals it bit for bit, so both compute the same floats.  The
+# main process then composes the outcomes in group order —
 # replaying each stream into the visited set and applying each best path —
 # so serial, parallel and warm-cache runs agree byte-for-byte.
 
@@ -588,7 +589,8 @@ _GROUP_BATCH = 4
 _REPLAY_CACHE: dict[tuple, ETLWorkflow] = {}
 _REPLAY_CACHE_CAP = 32
 
-#: Base-workflow reference forms inside a group task.
+#: Base reference forms inside a group task.
+_BASE_STATE = "state"
 _BASE_INLINE = "inline"
 _BASE_REPLAY = "replay"
 
@@ -625,29 +627,42 @@ def _replay_script(
 
 def _resolve_base(
     base_ref: tuple, model: CostModel | None
-) -> tuple[ETLWorkflow, CostModel]:
-    """Materialize a group task's base workflow from its reference.
+) -> tuple[SearchState, CostModel]:
+    """Materialize a group task's base state from its reference.
 
-    ``("inline", workflow)`` carries the workflow directly (in-process
-    dispatch, or callers without a preloaded pool); ``("replay", token,
-    script, signature)`` rebuilds it from the fork-inherited preload —
-    memoized per worker process, so one state's script replays once no
-    matter how many of its groups land on the same worker.
+    ``("state", state)`` is the caller's own :class:`SearchState`
+    (in-process dispatch), taken as it is: its report was maintained by
+    ``estimate_incremental``, which equals ``estimate`` bit for bit.
+    Shipped references are re-signed and re-estimated here:
+    ``("inline", workflow)`` carries the workflow (a pool without a
+    preload); ``("replay", token, script, signature)`` rebuilds it from
+    the fork-inherited preload — memoized per worker process, so one
+    state's script replays once no matter how many of its groups land on
+    the same worker.
     """
-    if base_ref[0] == _BASE_INLINE:
+    if base_ref[0] == _BASE_STATE:
         return base_ref[1], model
-    _, token, script, signature = base_ref
-    from repro.core.search.parallel import preloaded
+    if base_ref[0] == _BASE_INLINE:
+        workflow = base_ref[1]
+    else:
+        _, token, script, signature = base_ref
+        from repro.core.search.parallel import preloaded
 
-    base_workflow, preloaded_model = preloaded(token)
-    key = (token, script)
-    workflow = _REPLAY_CACHE.get(key)
-    if workflow is None:
-        workflow = _replay_script(base_workflow, script, signature)
-        while len(_REPLAY_CACHE) >= _REPLAY_CACHE_CAP:
-            _REPLAY_CACHE.pop(next(iter(_REPLAY_CACHE)))
-        _REPLAY_CACHE[key] = workflow
-    return workflow, (model if model is not None else preloaded_model)
+        base_workflow, preloaded_model = preloaded(token)
+        key = (token, script)
+        workflow = _REPLAY_CACHE.get(key)
+        if workflow is None:
+            workflow = _replay_script(base_workflow, script, signature)
+            while len(_REPLAY_CACHE) >= _REPLAY_CACHE_CAP:
+                _REPLAY_CACHE.pop(next(iter(_REPLAY_CACHE)))
+            _REPLAY_CACHE[key] = workflow
+        model = model if model is not None else preloaded_model
+    base = SearchState(
+        workflow=workflow,
+        signature=state_signature(workflow),
+        report=estimate(workflow, model),
+    )
+    return base, model
 
 
 def _group_task(
@@ -657,8 +672,10 @@ def _group_task(
 ) -> tuple[
     list[tuple[list[tuple[str, str]], list[tuple[str, float]]]], list[dict]
 ]:
-    """Explore a batch of local groups from one base workflow (pure).
+    """Explore a batch of local groups from one base state (pure).
 
+    In-process, the base is the dispatching search's own state; a worker
+    rebuilds it from the shipped reference (see :func:`_resolve_base`).
     Returns ``(outcomes, events)``: one ``(path, explored)`` outcome per
     requested group — ``path`` is the swap sequence (pairs of activity
     ids) leading from the base ordering to the best one found,
@@ -673,7 +690,7 @@ def _group_task(
     telemetry shape and byte-identical search outcomes.
     """
     base_ref, group_lists, greedy, group_cap, model, decisions = args
-    workflow, model = _resolve_base(base_ref, model)
+    base, model = _resolve_base(base_ref, model)
     algorithm = "HS-Greedy" if greedy else "HS"
     local = (
         NULL_RECORDER if decisions is None else Recorder(decisions=decisions)
@@ -682,14 +699,9 @@ def _group_task(
         tuple[list[tuple[str, str]], list[tuple[str, float]]]
     ] = []
     with use_recorder(local):
-        base = SearchState(
-            workflow=workflow,
-            signature=state_signature(workflow),
-            report=estimate(workflow, model),
-        )
         for member_ids in group_lists:
             members = [
-                workflow.node_by_id(member_id) for member_id in member_ids
+                base.workflow.node_by_id(member_id) for member_id in member_ids
             ]
             with local.span(
                 "search.group",
@@ -903,7 +915,7 @@ def _optimize_all_groups(
             results = session.pool.map(_group_task, tasks)
         else:
             inline_tasks = [
-                ((_BASE_INLINE, state.workflow), task[1], task[2], task[3],
+                ((_BASE_STATE, state), task[1], task[2], task[3],
                  session.model) + task[5:]
                 for task in tasks
             ]

@@ -354,7 +354,8 @@ class TranspositionCache:
     :func:`~repro.core.search.parallel.optimize_many`); per-workflow
     namespaces keep unrelated search spaces apart.  ``hits`` / ``misses``
     aggregate across namespaces; algorithms report the per-run delta as
-    ``OptimizationResult.cache_hits``.
+    ``OptimizationResult.cache_hits``.  Namespaces stay in memory until
+    :meth:`trim` drops them.
     """
 
     def __init__(self, directory: str | os.PathLike | None = None):
@@ -364,6 +365,9 @@ class TranspositionCache:
         #: Entries whose value diverged from a concurrent writer's during a
         #: merge-on-write flush (ours won; see :meth:`CacheNamespace.flush`).
         self.merge_conflicts = 0
+        #: Namespaces dropped by :meth:`trim`.
+        self.evictions = 0
+        #: Least recently used first (:meth:`namespace` moves a key last).
         self._namespaces: dict[str, CacheNamespace] = {}
         # One instance is shared across the serve daemon's worker threads;
         # every in-memory read-modify-write (entry insertion, hit/miss
@@ -399,11 +403,31 @@ class TranspositionCache:
         # Path-safe: fingerprint is hex, the model key may hold dots only.
         key = "".join(c if c.isalnum() or c in "._-" else "_" for c in key)
         with self._lock:
-            found = self._namespaces.get(key)
+            found = self._namespaces.pop(key, None)
             if found is None:
                 found = CacheNamespace(self, key)
-                self._namespaces[key] = found
+            self._namespaces[key] = found
             return found
+
+    @property
+    def namespace_count(self) -> int:
+        """Namespaces held in memory."""
+        return len(self._namespaces)
+
+    def trim(self, limit: int) -> None:
+        """Keep at most ``limit`` namespaces, least recently used out
+        first, each flushed to the disk layer before it is dropped.
+
+        A search that holds a dropped namespace keeps using it (entries
+        it adds afterwards are not written back: the cache is
+        best-effort); a later :meth:`namespace` call reloads the disk
+        layer.
+        """
+        with self._lock:
+            while len(self._namespaces) > limit:
+                oldest = next(iter(self._namespaces))
+                self._namespaces.pop(oldest)._flush_locked()
+                self.evictions += 1
 
     def flush(self) -> None:
         """Write every dirty namespace to the disk layer (no-op without one)."""

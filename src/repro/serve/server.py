@@ -16,7 +16,11 @@ UNIX socket.  The architecture is two planes joined by a bounded queue:
   not per request) and all threads sharing one
   :class:`~repro.core.search.transposition.TranspositionCache` — Liu's
   shared-cache recipe: every request warms the cache for every later
-  near-duplicate.
+  near-duplicate.  The cache keeps the :data:`MAX_CACHE_NAMESPACES` (16)
+  most recently used workflow namespaces and flushes each to its on-disk
+  layer, if any, before dropping it, so a long-lived daemon does not
+  grow with every distinct workflow it serves; the result memo beside
+  it is LRU-bounded too.
 
 Determinism guarantee: a served result is byte-identical (cost, plan,
 lineage) to a direct :func:`repro.optimize` call with the same effective
@@ -97,6 +101,15 @@ __all__ = ["ServeConfig", "OptimizerServer", "BackgroundServer"]
 #: ``StreamReader`` limit is 64 KiB — a workflow of ~270 activities).  A
 #: longer line is answered ``too-large`` and its connection closed.
 MAX_REQUEST_BYTES = 4 * 1024 * 1024
+
+#: Transposition-cache namespaces (one per distinct workflow and cost
+#: model) the daemon keeps, least recently used out first.  A namespace
+#: holds HS's per-state costs and group explorations, about 0.5-0.7 KB
+#: per visited state: at default budgets (tracemalloc, Python 3.11) tiny
+#: seed 0 holds 0.33 MB, small seed 1 2.55 MB, medium seed 0 6.51 MB and
+#: large seed 0 11.09 MB.  Above the 11 namespaces ``bench_e2e``'s
+#: serve-mix creates (3 cold + 8 warm workflows).
+MAX_CACHE_NAMESPACES = 16
 
 #: The event types a request's recorder hands to the daemon-lifetime
 #: recorder: they merge into fixed-size registries.  Spans would
@@ -658,6 +671,8 @@ class OptimizerServer:
                 }
             )
             return
+        finally:
+            self.cache.trim(MAX_CACHE_NAMESPACES)
         search_seconds = time.monotonic() - search_started
         serialized = result_to_dict(result)
         self.memo.put(payload["memo_key"], serialized)
@@ -780,6 +795,8 @@ class OptimizerServer:
                 "hits": self.cache.hits,
                 "misses": self.cache.misses,
                 "merge_conflicts": self.cache.merge_conflicts,
+                "namespaces": self.cache.namespace_count,
+                "evictions": self.cache.evictions,
                 "hit_rate": (
                     self.cache.hits / transposition_total
                     if transposition_total

@@ -515,3 +515,41 @@ def test_cost_oracle_catches_a_divergent_kernel(monkeypatch):
     finally:
         flags.set_full_recost(full_recost)
         flags.set_cost_oracle(oracle)
+
+
+def _signed(monkeypatch):
+    """Every ``(kernel, member tuple)`` the kernels build an ordering for."""
+    signed = []
+    sign = GroupKernel._signature
+
+    def recording(self, members):
+        signed.append((self, tuple(members)))
+        return sign(self, members)
+
+    monkeypatch.setattr(GroupKernel, "_signature", recording)
+    return signed
+
+
+class TestOrderingsPricedOnce:
+    """A kernel builds at most one ``Ordering`` per member tuple: a swap
+    back to a known ordering (or a second path to it) returns the kept
+    one."""
+
+    def test_hand_built(self, monkeypatch):
+        signed = _signed(monkeypatch)
+        for name in sorted(_HAND_BUILT):
+            workflow, members = _HAND_BUILT[name]()
+            for greedy in (False, True):
+                _explore(workflow, members, greedy)
+            _walk(workflow, members)
+        assert signed
+        assert len(signed) == len(set(signed))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_small(self, seed, monkeypatch):
+        signed = _signed(monkeypatch)
+        workflow = generate_workload("small", seed=seed).workflow
+        for greedy in (False, True):
+            heuristic_search(workflow.copy(), greedy=greedy)
+        assert signed
+        assert len(signed) == len(set(signed))

@@ -21,6 +21,9 @@ from repro import (
     optimize,
     optimize_many,
 )
+from repro.core.search import heuristic as heuristic_module
+from repro.core.search import state as state_module
+from repro.core.search import transposition as transposition_module
 from repro.core.search.parallel import WorkerPool
 from repro.fuzz import FuzzConfig, run_fuzz
 from repro.obs import Recorder, use_recorder
@@ -72,6 +75,30 @@ class TestHSDeterminism:
         )
         assert parallel.best.signature == serial.best.signature
         assert parallel.visited_states == serial.visited_states
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    def test_in_process_groups_reuse_the_base_state(self, greedy, monkeypatch):
+        """At jobs=1 only S0 is estimated: in-process group tasks take the
+        search's own state, whose delta-maintained report is exact."""
+        estimated = []
+        for module in (state_module, heuristic_module, transposition_module):
+            real = module.estimate
+
+            def counting(workflow, model, real=real):
+                estimated.append(workflow)
+                return real(workflow, model)
+
+            monkeypatch.setattr(module, "estimate", counting)
+        workflow = generate_workload("small", seed=0).workflow
+        serial = heuristic_search(workflow.copy(), greedy=greedy)
+        assert estimated == [serial.initial.workflow]
+        parallel = heuristic_search(
+            workflow.copy(), greedy=greedy, budget=SearchBudget(jobs=2)
+        )
+        assert parallel.best.signature == serial.best.signature
+        assert parallel.best.cost == serial.best.cost
+        assert parallel.visited_states == serial.visited_states
+        assert parallel.lineage == serial.lineage
 
 
 #: The algorithms that run group explorations on ``jobs`` workers and

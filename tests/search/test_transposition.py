@@ -9,6 +9,7 @@ import pytest
 from repro.core.cost.estimator import estimate
 from repro.core.cost.model import LinearCostModel, ProcessedRowsCostModel
 from repro.core.search.transposition import (
+    CacheNamespace,
     DeferredCostReport,
     TranspositionCache,
     default_cache_dir,
@@ -142,6 +143,106 @@ class TestDiskLayer:
         cache = TranspositionCache()
         cache.namespace(workflow, ProcessedRowsCostModel()).put_cost("s", 1.0)
         cache.flush()  # must not raise or write anywhere
+
+
+class TestTrim:
+    """The serve daemon keeps a bounded number of namespaces."""
+
+    @pytest.fixture
+    def spaces(self, workflow):
+        """Three distinct (workflow, model) namespace keys."""
+        other = two_branch_scenario().workflow
+        other.validate()
+        other.propagate_schemas()
+        return [
+            (workflow, ProcessedRowsCostModel()),
+            (workflow, LinearCostModel()),
+            (other, ProcessedRowsCostModel()),
+        ]
+
+    def test_least_recently_used_goes_first(self, tmp_path, spaces):
+        (a, b, c) = spaces
+        cache = TranspositionCache(tmp_path)
+        first = cache.namespace(*a)
+        second = cache.namespace(*b)
+        second.put_cost("b", 2.0)
+        assert cache.namespace(*a) is first  # b is now least recent
+        cache.namespace(*c)
+        cache.trim(2)
+        assert cache.namespace_count == 2 and cache.evictions == 1
+        # Flushed before it was dropped; the namespaces kept are not.
+        assert [path.name for path in tmp_path.glob("*.json")] == [
+            f"{second.key}.json"
+        ]
+        assert cache.namespace(*a) is first
+        reloaded = cache.namespace(*b)
+        assert reloaded is not second
+        assert reloaded.get_cost("b") == 2.0
+        cache.trim(2)  # c is now least recent
+        assert cache.namespace_count == 2 and cache.evictions == 2
+        assert cache.namespace(*b) is reloaded
+
+    def test_memory_only_cache_drops_the_entries(self, spaces):
+        (a, b, _) = spaces
+        cache = TranspositionCache()
+        cache.namespace(*a).put_cost("a", 1.0)
+        cache.namespace(*b)
+        cache.trim(1)
+        assert cache.namespace_count == 1 and cache.evictions == 1
+        assert cache.namespace(*a).get_cost("a") is None
+
+    def test_trim_below_the_limit_keeps_everything(self, spaces):
+        cache = TranspositionCache()
+        held = [cache.namespace(*space) for space in spaces]
+        cache.trim(3)
+        assert cache.evictions == 0
+        assert [cache.namespace(*space) for space in spaces] == held
+
+    def test_concurrent_trims_count_every_eviction(self, spaces, monkeypatch):
+        """Four threads create and trim namespaces at a short switch
+        interval: every namespace created is still held or was counted
+        as evicted."""
+        import sys
+        import threading
+
+        created = []
+        load = CacheNamespace._load
+
+        def counting(self):
+            created.append(self.key)
+            load(self)
+
+        monkeypatch.setattr(CacheNamespace, "_load", counting)
+        cache = TranspositionCache()
+        barrier = threading.Barrier(4)
+        errors: list[BaseException] = []
+
+        def churn(offset: int) -> None:
+            try:
+                barrier.wait(timeout=10.0)
+                for i in range(300):
+                    cache.namespace(*spaces[(offset + i) % len(spaces)])
+                    cache.trim(1)
+            except BaseException as exc:  # surfaced after join
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=churn, args=(offset,))
+            for offset in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert cache.namespace_count == 1
+        assert cache.evictions + cache.namespace_count == len(created)
 
 
 class TestMergeOnWrite:

@@ -133,6 +133,7 @@ class TestMetricsHttp:
                 f"http://{host}:{port}/nope", timeout=10
             )
         assert excinfo.value.code == 404
+        excinfo.value.close()  # the error holds the response's socket
 
 
 class TestExemplarStoreUnit:

@@ -24,7 +24,7 @@ from repro.serve import (
     TenantPolicy,
 )
 from repro.serve.protocol import decode, encode, result_to_dict
-from repro.serve.server import MAX_REQUEST_BYTES
+from repro.serve.server import MAX_CACHE_NAMESPACES, MAX_REQUEST_BYTES
 from repro.workloads import fig1_workflow, generate_workload
 
 BUDGET = {"max_states": 300}
@@ -390,6 +390,36 @@ class TestShutdown:
                 assert reply["stopping"] is True
             background._thread.join(timeout=30.0)
             assert not background._thread.is_alive()
+
+
+class TestBoundedCache:
+    def test_distinct_workflows_past_the_bound(self):
+        """The daemon keeps MAX_CACHE_NAMESPACES transposition namespaces,
+        dropping the least recently used, and keeps answering exactly."""
+        served = MAX_CACHE_NAMESPACES + 3
+        with BackgroundServer(ServeConfig(workers=1)) as background:
+            with background.client() as client:
+                for seed in range(served):
+                    client.optimize(_workflow(seed=seed), "hs", budget=BUDGET)
+                stats = client.stats()["transposition"]
+                # A new budget misses the memo: seed 0's namespace, long
+                # dropped, is searched again.
+                again = client.optimize(
+                    _workflow(seed=0), "hs", budget={"max_states": 200}
+                )
+                assert client.ping()
+                after = client.stats()["transposition"]
+        assert stats["namespaces"] == MAX_CACHE_NAMESPACES
+        assert stats["evictions"] == served - MAX_CACHE_NAMESPACES
+        assert after["namespaces"] == MAX_CACHE_NAMESPACES
+        assert after["evictions"] == stats["evictions"] + 1
+        direct = result_to_dict(
+            optimize(
+                _workflow(seed=0), "hs", budget=SearchBudget(max_states=200)
+            )
+        )
+        for field in RESULT_FIELDS:
+            assert again["result"][field] == direct[field], field
 
 
 class TestConcurrency:
