@@ -25,8 +25,15 @@ per-position output schema, cardinality and cost, and prices
   otherwise the nodes downstream of the tail re-rendered through
   :func:`~repro.core.signature.render_node`.
 * **member steps** — each member's output schema, cost and cardinality
-  (or ``SchemaError``, kept without its traceback) per input schema and
-  cardinality, memoized per kernel; reasons name the swap at hand.
+  (or ``SchemaError``, kept without its traceback) per input attributes
+  and cardinality; reasons name the swap at hand.
+* **pricing table** — a pair's guard verdict and a member's step depend
+  on the pair, or on the member and its input, and never on the base
+  state, so one :class:`PricingTable` holds both memos for every kernel
+  of a search: Phase IV re-explores the same members under the same
+  input in up to ``phase_iv_cap`` states.  Orderings, downstream schema
+  verdicts and downstream costs depend on the base state and stay per
+  kernel.
 * **orderings** — each valid ordering is kept per kernel, keyed by its
   member tuple, and every later swap that reaches the same tuple (the
   reverse of the move that made the parent, or a second path to it)
@@ -35,12 +42,14 @@ per-position output schema, cardinality and cost, and prices
   verdicts depend on the pair and not on the ordering; rejections are
   not kept.
 
-Each considered swap's decision event is the one
-:meth:`SearchState.try_successor` records, built only when the recorder
-keeps decisions; the swaps are counted locally and
-:meth:`GroupKernel.record_counts` adds the totals to
-``search.transitions`` once per group.  The state-building step stays
-as the slow twin (see :func:`repro.core.search.heuristic._explore_group`).
+A :class:`Swap` is built only where one is read: the fan-out check, a
+guard miss, a rejection reason and a decision event.  Each considered
+swap's decision event is the one :meth:`SearchState.try_successor`
+records, built only when the recorder keeps decisions; the swaps are
+counted locally and :meth:`GroupKernel.record_counts` adds the totals
+to ``search.transitions`` once per group.  The state-building step
+stays as the slow twin (see
+:func:`repro.core.search.heuristic._explore_group`).
 """
 
 from __future__ import annotations
@@ -62,7 +71,10 @@ from repro.exceptions import SchemaError, TransitionError
 from repro.obs.provenance import record_decision
 from repro.obs.telemetry import get_recorder
 
-__all__ = ["GroupKernel", "Ordering"]
+__all__ = ["GroupKernel", "Ordering", "PricingTable"]
+
+#: A memo miss (``None`` is a valid verdict).
+_MISS = object()
 
 
 class Ordering(NamedTuple):
@@ -77,11 +89,30 @@ class Ordering(NamedTuple):
     signature: str
 
 
+class PricingTable:
+    """The memos every group kernel of one search shares (one cost model).
+
+    The search that owns it creates it per run; nothing is module-level,
+    so concurrent searches never share a table.
+    """
+
+    __slots__ = ("guards", "steps")
+
+    def __init__(self) -> None:
+        #: (first, second) → the pair's semantic-guard reason, or None.
+        self.guards: dict[tuple[Activity, Activity], str | None] = {}
+        #: (member, input attributes, input cardinality) → (output
+        #: schema, cost, cardinality), or the member's SchemaError.
+        self.steps: dict[tuple, tuple | SchemaError] = {}
+
+
 class GroupKernel:
     """Prices the swaps of one local group of a base state.
 
     ``members`` is the group in chain order (``local_groups`` order);
     ``base`` carries the workflow, its exact cost report and signature.
+    ``table`` is the search's :class:`PricingTable` (a fresh one when
+    omitted).
     """
 
     def __init__(
@@ -90,6 +121,7 @@ class GroupKernel:
         members: list[Activity],
         model: CostModel,
         algorithm: str,
+        table: PricingTable | None = None,
     ):
         workflow, report = base.workflow, base.report
         derived = workflow.propagate_schemas()
@@ -97,9 +129,12 @@ class GroupKernel:
         tail = members[-1]
         downstream = workflow.downstream(tail)
         order = workflow.topological_order()
+        table = table if table is not None else PricingTable()
         self._workflow = workflow
         self._model = model
         self._algorithm = algorithm
+        self._guards = table.guards
+        self._steps = table.steps
         self._tail = tail
         self._fan_out = len(workflow.consumers(tail)) != 1
         self._in_schema = derived[provider].output
@@ -107,6 +142,11 @@ class GroupKernel:
         self._derived = derived
         self._cards = report.cardinalities
         self._downstream = [node for node in order if node in downstream]
+        #: Member → rank of its id: swaps go by their first member's id.
+        self._rank = {
+            member: rank
+            for rank, member in enumerate(sorted(members, key=lambda m: m.id))
+        }
         inside = set(members) | downstream
         self._static_costs = [
             cost for node, cost in report.node_costs.items()
@@ -128,14 +168,11 @@ class GroupKernel:
         low = self._render("\x00").split("\x00")
         high = self._render("\U0010ffff").split("\U0010ffff")
         self._pieces = low if low == high else None
-        #: (member, input schema, input cardinality) → (output schema,
-        #: cost, cardinality), or the member's SchemaError.
-        self._steps: dict[tuple, tuple | SchemaError] = {}
-        self._guards: dict[tuple[Activity, Activity], str | None] = {}
         #: Member tuple → the valid ordering priced for it.
         self._orderings: dict[tuple[Activity, ...], Ordering] = {}
-        self._schema_errors: dict[Schema, SchemaError | None] = {
-            derived[tail].output: None
+        #: Tail attributes → the first downstream SchemaError, or None.
+        self._schema_errors: dict[tuple[str, ...], SchemaError | None] = {
+            derived[tail].output.attrs: None
         }
         #: Swaps priced so far, by verdict (see :meth:`record_counts`).
         self._counts = {"applied": 0, "rejected": 0}
@@ -164,18 +201,20 @@ class GroupKernel:
         when rejected."""
         recorder = get_recorder()
         members = parent.members
-        last = len(members) - 1
-        for index in sorted(range(last), key=lambda i: members[i].id):
+        # (rank, position) pairs sort by rank alone: ranks are distinct.
+        positions = sorted(
+            zip(map(self._rank.__getitem__, members), range(len(members) - 1))
+        )
+        for _, index in positions:
             first, second = members[index], members[index + 1]
-            swap = Swap(first, second)
-            priced = self._price(parent, index, swap)
+            priced = self._price(parent, index, first, second)
             rejected = isinstance(priced, str)
             self._counts["rejected" if rejected else "applied"] += 1
             if recorder.decisions:
                 record_decision(
                     recorder,
                     algorithm=self._algorithm,
-                    transition=swap,
+                    transition=Swap(first, second),
                     cost_before=parent.cost,
                     cost_after=None if rejected else priced.cost,
                     accepted=not rejected,
@@ -192,29 +231,33 @@ class GroupKernel:
                     "search.transitions", mnemonic="SWA", outcome=outcome
                 ).add(count)
 
-    def _price(self, parent: Ordering, index: int, swap: Swap) -> Ordering | str:
-        """The swapped ordering, or the rejection reason."""
-        last = len(parent.members) - 1
+    def _price(
+        self, parent: Ordering, index: int, first: Activity, second: Activity
+    ) -> Ordering | str:
+        """The ordering ``SWA(first, second)`` at ``index`` makes, or the
+        rejection reason."""
+        members = parent.members
+        last = len(members) - 1
         if self._fan_out and index + 1 == last:
             # Condition 2 at the tail.  A tail with fan-out never moves,
             # so the base workflow has the structure Swap.check inspects.
             try:
-                swap.check(self._workflow)
+                Swap(first, second).check(self._workflow)
             except TransitionError as exc:
                 return str(exc)
-        pair = (swap.first, swap.second)
-        if pair not in self._guards:
+        pair = (first, second)
+        reason = self._guards.get(pair, _MISS)
+        if reason is _MISS:
             try:
-                swap._semantic_guard()
-                self._guards[pair] = None
+                Swap(first, second)._semantic_guard()
+                reason = None
             except TransitionError as exc:
-                self._guards[pair] = str(exc)
-        if self._guards[pair] is not None:
-            return self._guards[pair]
+                reason = str(exc)
+            self._guards[pair] = reason
+        if reason is not None:
+            return reason
 
-        members = list(parent.members)
-        members[index], members[index + 1] = swap.second, swap.first
-        swapped = tuple(members)
+        swapped = members[:index] + (second, first) + members[index + 2 :]
         known = self._orderings.get(swapped)
         if known is not None:
             return known
@@ -224,8 +267,8 @@ class GroupKernel:
         schema = parent.schemas[index - 1] if index else self._in_schema
         card = parent.cards[index - 1] if index else self._in_card
         for position in range(index, last + 1):
-            activity = members[position]
-            key = (activity, schema, card)
+            activity = swapped[position]
+            key = (activity, schema.attrs, card)
             step = self._steps.get(key)
             if step is None:
                 try:
@@ -239,36 +282,35 @@ class GroupKernel:
                     )
                 self._steps[key] = step
             if isinstance(step, SchemaError):
-                return str(swap.invalid_state(step))
+                return str(Swap(first, second).invalid_state(step))
             schema, costs[position], card = step
             schemas[position], cards[position] = schema, card
-            if (
-                position > index
-                and schema == parent.schemas[position]
-                and card == parent.cards[position]
-            ):
-                break  # every later position is the parent's
+            if position > index and card == parent.cards[position]:
+                kept = parent.schemas[position]
+                if schema is kept or schema == kept:
+                    break  # every later position is the parent's
         error = self._downstream_error(schemas[last])
         if error is not None:
-            return str(swap.invalid_state(error))
+            return str(Swap(first, second).invalid_state(error))
         cost = math.fsum(
             itertools.chain(
                 self._static_costs, costs, self._downstream_cost(cards[last])
             )
         )
         ordering = self._orderings[swapped] = Ordering(
-            members=swapped,
-            schemas=tuple(schemas),
-            cards=tuple(cards),
-            costs=tuple(costs),
-            cost=cost,
-            signature=self._signature(members),
+            swapped,
+            tuple(schemas),
+            tuple(cards),
+            tuple(costs),
+            cost,
+            self._signature(swapped),
         )
         return ordering
 
     def _downstream_error(self, tail_schema: Schema) -> SchemaError | None:
         """The first downstream schema failure under a tail schema."""
-        if tail_schema not in self._schema_errors:
+        error = self._schema_errors.get(tail_schema.attrs, _MISS)
+        if error is _MISS:
             derived = dict(self._derived)
             # Consumers read only their providers' outputs.
             derived[self._tail] = DerivedSchemas((), tail_schema)
@@ -279,8 +321,8 @@ class GroupKernel:
                 )
             except SchemaError as exc:
                 error = exc.with_traceback(None)
-            self._schema_errors[tail_schema] = error
-        return self._schema_errors[tail_schema]
+            self._schema_errors[tail_schema.attrs] = error
+        return error
 
     def _downstream_cost(self, tail_card: float) -> list[float]:
         """The downstream activities' costs under a tail cardinality."""
@@ -298,8 +340,8 @@ class GroupKernel:
             self._downstream_costs[tail_card] = costs
         return costs
 
-    def _signature(self, members: list[Activity]) -> str:
-        segment = ".".join(m.id for m in members)
+    def _signature(self, members: tuple[Activity, ...]) -> str:
+        segment = ".".join([m.id for m in members])
         if self._pieces is not None:
             return segment.join(self._pieces)
         return self._render(segment)

@@ -63,7 +63,7 @@ from repro.core.activity import Activity, CompositeActivity, base_clone_id
 from repro.core.cost.estimator import estimate
 from repro.core.cost.model import CostModel, ProcessedRowsCostModel
 from repro.core.search.budget import SearchBudget
-from repro.core.search.group_kernel import GroupKernel
+from repro.core.search.group_kernel import GroupKernel, PricingTable
 from repro.core.search.result import OptimizationResult
 from repro.core.search.state import SearchState
 from repro.core.search.transposition import (
@@ -147,6 +147,9 @@ class _Session:
         self.seen: set[str] = set()
         self.started = time.perf_counter()
         self.best: SearchState | None = None
+        #: The pair guards and member steps every in-process group
+        #: kernel of this search shares.
+        self.table = PricingTable()
 
     def check_budget(self) -> None:
         if self.budget.max_seconds is not None:
@@ -560,7 +563,9 @@ def _shift_state(
 # Each group is explored *hermetically*: a pure function of the base
 # workflow and the group's member ids.  A worker process re-estimates the
 # base cost report; an in-process task takes the caller's delta-maintained
-# one, which equals it bit for bit, so both compute the same floats.  The
+# one, which equals it bit for bit, so both compute the same floats.  A
+# pricing-table hit returns what its miss computed, so sharing the
+# search's table in-process and building one per pool task agree too.  The
 # main process then composes the outcomes in group order —
 # replaying each stream into the visited set and applying each best path —
 # so serial, parallel and warm-cache runs agree byte-for-byte.
@@ -627,13 +632,16 @@ def _replay_script(
 
 def _resolve_base(
     base_ref: tuple, model: CostModel | None
-) -> tuple[SearchState, CostModel]:
-    """Materialize a group task's base state from its reference.
+) -> tuple[SearchState, CostModel, PricingTable]:
+    """Materialize a group task's base state and pricing table from its
+    reference.
 
-    ``("state", state)`` is the caller's own :class:`SearchState`
-    (in-process dispatch), taken as it is: its report was maintained by
+    ``("state", state, table)`` is the caller's own :class:`SearchState`
+    and the search's :class:`PricingTable` (in-process dispatch), taken
+    as they are: the state's report was maintained by
     ``estimate_incremental``, which equals ``estimate`` bit for bit.
-    Shipped references are re-signed and re-estimated here:
+    Shipped references are re-signed and re-estimated here, and priced
+    through a table the task builds for the groups it carries:
     ``("inline", workflow)`` carries the workflow (a pool without a
     preload); ``("replay", token, script, signature)`` rebuilds it from
     the fork-inherited preload — memoized per worker process, so one
@@ -641,7 +649,7 @@ def _resolve_base(
     the same worker.
     """
     if base_ref[0] == _BASE_STATE:
-        return base_ref[1], model
+        return base_ref[1], model, base_ref[2]
     if base_ref[0] == _BASE_INLINE:
         workflow = base_ref[1]
     else:
@@ -662,7 +670,7 @@ def _resolve_base(
         signature=state_signature(workflow),
         report=estimate(workflow, model),
     )
-    return base, model
+    return base, model, PricingTable()
 
 
 def _group_task(
@@ -674,8 +682,10 @@ def _group_task(
 ]:
     """Explore a batch of local groups from one base state (pure).
 
-    In-process, the base is the dispatching search's own state; a worker
-    rebuilds it from the shipped reference (see :func:`_resolve_base`).
+    In-process, the base is the dispatching search's own state and the
+    groups share the search's pricing table; a worker rebuilds the base
+    from the shipped reference and prices the batch through a table of
+    its own (see :func:`_resolve_base`).
     Returns ``(outcomes, events)``: one ``(path, explored)`` outcome per
     requested group — ``path`` is the swap sequence (pairs of activity
     ids) leading from the base ordering to the best one found,
@@ -690,7 +700,7 @@ def _group_task(
     telemetry shape and byte-identical search outcomes.
     """
     base_ref, group_lists, greedy, group_cap, model, decisions = args
-    base, model = _resolve_base(base_ref, model)
+    base, model, table = _resolve_base(base_ref, model)
     algorithm = "HS-Greedy" if greedy else "HS"
     local = (
         NULL_RECORDER if decisions is None else Recorder(decisions=decisions)
@@ -709,7 +719,7 @@ def _group_task(
                 mode="greedy" if greedy else "best_first",
             ):
                 path, explored = _explore_group(
-                    base, members, model, algorithm, greedy, group_cap
+                    base, members, model, algorithm, greedy, group_cap, table
                 )
                 local.counter("search.group.states_explored").add(
                     len(explored)
@@ -725,9 +735,11 @@ def _explore_group(
     algorithm: str,
     greedy: bool,
     group_cap: int,
+    table: PricingTable | None = None,
 ) -> tuple[list[tuple[str, str]], list[tuple[str, float]]]:
     """One group's ``(path, explored)``: best-first for HS, hill climbing
-    for HS-Greedy, stepping through the group kernel.
+    for HS-Greedy, stepping through the group kernel (priced through
+    ``table``, the search's, when given).
 
     ``REPRO_FULL_RECOST`` steps through :meth:`SearchState.try_successor`
     instead — the slow twin; ``REPRO_COST_ORACLE`` runs the twin too
@@ -744,7 +756,7 @@ def _explore_group(
 
     if flags.full_recost_enabled():
         return twin()
-    kernel = GroupKernel(base, members, model, algorithm)
+    kernel = GroupKernel(base, members, model, algorithm, table)
     outcome = explore(kernel.root, kernel.successors)
     kernel.record_counts()
     if flags.cost_oracle_enabled():
@@ -777,30 +789,37 @@ def _best_first(
 
     ``root`` is the base ordering and ``successors(node)`` its step (see
     :func:`_explore_group`); nodes carry ``cost`` and ``signature``.
+    Each pushed node keeps a link to its parent (its push number doubles
+    as the heap's tie-break), and only the best node's path is rebuilt.
     """
     best_cost = root.cost
-    best_path: tuple[tuple[str, str], ...] = ()
+    best = 0
     local_seen = {root.signature}
     explored: list[tuple[str, float]] = []
-    counter = itertools.count()
-    heap = [(root.cost, next(counter), root, ())]
+    #: Push number → (parent's push number, swap pair); the root is 0.
+    links: list[tuple[int, tuple[str, str]] | None] = [None]
+    heap = [(root.cost, 0, root)]
     expansions = 0
     while heap and expansions < group_cap:
-        _, _, expanding, path = heapq.heappop(heap)
+        _, parent, expanding = heapq.heappop(heap)
         expansions += 1
         for pair, successor in successors(expanding):
             if successor is None or successor.signature in local_seen:
                 continue
             local_seen.add(successor.signature)
             explored.append((successor.signature, successor.cost))
-            successor_path = path + (pair,)
+            pushed = len(links)
+            links.append((parent, pair))
             if successor.cost < best_cost:
                 best_cost = successor.cost
-                best_path = successor_path
-            heapq.heappush(
-                heap, (successor.cost, next(counter), successor, successor_path)
-            )
-    return list(best_path), explored
+                best = pushed
+            heapq.heappush(heap, (successor.cost, pushed, successor))
+    path: list[tuple[str, str]] = []
+    while best:
+        best, pair = links[best]
+        path.append(pair)
+    path.reverse()
+    return path, explored
 
 
 def _hill_climb(
@@ -915,8 +934,8 @@ def _optimize_all_groups(
             results = session.pool.map(_group_task, tasks)
         else:
             inline_tasks = [
-                ((_BASE_STATE, state), task[1], task[2], task[3],
-                 session.model) + task[5:]
+                ((_BASE_STATE, state, session.table), task[1], task[2],
+                 task[3], session.model) + task[5:]
                 for task in tasks
             ]
             results = [_group_task(task) for task in inline_tasks]

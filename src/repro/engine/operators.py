@@ -14,7 +14,7 @@ multisets on identical inputs.
 from __future__ import annotations
 
 import operator as _op
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -187,29 +187,52 @@ def _exec_surrogate_key(
     return result
 
 
-def _sql_aggregate(kind: str, values: list) -> Any:
-    """SQL-style aggregation: NULL measures are ignored.
+_AGGREGATE_KINDS = frozenset({"sum", "min", "max", "count", "avg"})
+
+
+def _fold_measures(
+    kind: str, groups: dict[tuple, list], pairs: Iterable[tuple[tuple, Any]]
+) -> None:
+    """Fold ``(group key, measure)`` pairs into ``groups``, left to right.
+
+    Each group's state is ``[non-NULL count, value]``: the running sum
+    (``sum``/``avg``, from ``0`` as ``sum()`` starts), minimum or maximum
+    of its non-NULL measures.  Both execution paths aggregate through
+    this fold, so they agree on every Python (``sum()`` is compensated
+    for floats from 3.12; a running ``+`` is not).
+    """
+    summing = kind in ("sum", "avg")
+    for key, value in pairs:
+        state = groups.get(key)
+        if state is None:
+            groups[key] = state = [0, 0 if summing else None]
+        if value is None:
+            continue
+        state[0] += 1
+        if summing:
+            state[1] += value
+        elif kind == "min":
+            if state[1] is None or value < state[1]:
+                state[1] = value
+        elif kind == "max":
+            if state[1] is None or value > state[1]:
+                state[1] = value
+
+
+def _aggregate_value(kind: str, state: list) -> Any:
+    """SQL-style aggregate of a folded group: NULL measures are ignored.
 
     ``count`` counts non-NULL values (SQL ``COUNT(measure)``); the other
     aggregates return NULL for groups with no non-NULL measure.
     """
-    non_null = [value for value in values if value is not None]
+    count, value = state
     if kind == "count":
-        return len(non_null)
-    if not non_null:
+        return count
+    if not count:
         return None
-    if kind == "sum":
-        return sum(non_null)
-    if kind == "min":
-        return min(non_null)
-    if kind == "max":
-        return max(non_null)
     if kind == "avg":
-        return sum(non_null) / len(non_null)
-    raise ExecutionError(f"unknown aggregate {kind!r}")
-
-
-_AGGREGATE_KINDS = frozenset({"sum", "min", "max", "count", "avg"})
+        return value / count
+    return value
 
 
 def _exec_aggregation(
@@ -224,13 +247,18 @@ def _exec_aggregation(
             f"aggregation {activity.id}: unknown aggregate {kind!r}"
         )
     groups: dict[tuple, list] = {}
-    for row in inputs[0]:
-        key = tuple(row[attr] for attr in group_by)
-        groups.setdefault(key, []).append(row[measure])
+    _fold_measures(
+        kind,
+        groups,
+        (
+            (tuple(row[attr] for attr in group_by), row[measure])
+            for row in inputs[0]
+        ),
+    )
     result: list[Row] = []
     for key in sorted(groups, key=repr):
         row = dict(zip(group_by, key))
-        row[out_attr] = _sql_aggregate(kind, groups[key])
+        row[out_attr] = _aggregate_value(kind, groups[key])
         result.append(row)
     return result
 

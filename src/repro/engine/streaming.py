@@ -62,7 +62,11 @@ from repro.engine.executor import (
     ExecutionStats,
     iter_components,
 )
-from repro.engine.operators import _AGGREGATE_KINDS
+from repro.engine.operators import (
+    _AGGREGATE_KINDS,
+    _aggregate_value,
+    _fold_measures,
+)
 from repro.engine.rows import Row, check_rows_match_schema, freeze_row
 from repro.exceptions import ExecutionError
 from repro.templates.base import ActivityKind
@@ -466,10 +470,8 @@ class _StreamRun:
             raise ExecutionError(
                 f"aggregation {component.id}: unknown aggregate {kind!r}"
             )
-        # Per group: [non-null count, running sum, min, max].  All five
-        # aggregate kinds are decomposable over these, and the running
-        # updates apply in arrival order, so the emitted values are
-        # bit-identical to the materializing operator's.
+        # Per group, the materializing operator's fold state, updated in
+        # arrival order: the emitted values are bit-identical to its.
         groups: dict[tuple, list] = {}
         try:
             for batch in upstream:
@@ -496,39 +498,19 @@ class _StreamRun:
                         )
                         for row in batch.rows()
                     )
-                for key, value in pairs:
-                    state = groups.get(key)
-                    if state is None:
-                        groups[key] = state = [0, 0, None, None]
-                        self.ledger.acquire(component.id, 1)
-                    if value is not None:
-                        state[0] += 1
-                        state[1] += value
-                        if state[2] is None or value < state[2]:
-                            state[2] = value
-                        if state[3] is None or value > state[3]:
-                            state[3] = value
+                held = len(groups)
+                try:
+                    _fold_measures(kind, groups, pairs)
+                finally:
+                    self.ledger.acquire(component.id, len(groups) - held)
                 self._record(
                     metric, len(batch), 0, time.perf_counter() - begun
                 )
 
             def emit() -> Iterator[Row]:
                 for key in sorted(groups, key=repr):
-                    count, total, minimum, maximum = groups[key]
-                    if kind == "count":
-                        value = count
-                    elif count == 0:
-                        value = None
-                    elif kind == "sum":
-                        value = total
-                    elif kind == "min":
-                        value = minimum
-                    elif kind == "max":
-                        value = maximum
-                    else:  # avg
-                        value = total / count
                     row = dict(zip(group_by, key))
-                    row[out_attr] = value
+                    row[out_attr] = _aggregate_value(kind, groups[key])
                     yield row
 
             for batch in self._emit(component.id, emit()):

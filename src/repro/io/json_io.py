@@ -117,6 +117,16 @@ def workflow_from_dict(
     data: dict[str, Any], library: TemplateLibrary | None = None
 ) -> ETLWorkflow:
     """Rebuild a workflow from :func:`workflow_to_dict` output."""
+    workflow = _build_workflow(data, library)
+    workflow.validate()
+    workflow.propagate_schemas()
+    return workflow
+
+
+def _build_workflow(
+    data: dict[str, Any], library: TemplateLibrary | None = None
+) -> ETLWorkflow:
+    """The document's nodes and edges, neither validated nor propagated."""
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise ReproError(
@@ -144,8 +154,6 @@ def workflow_from_dict(
         workflow.add_edge(
             by_id[edge["provider"]], by_id[edge["consumer"]], port=edge["port"]
         )
-    workflow.validate()
-    workflow.propagate_schemas()
     return workflow
 
 

@@ -50,6 +50,8 @@ rest of the stream is no longer line-aligned.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
+from contextlib import contextmanager
 from typing import Any
 
 from repro.core.cost.model import (
@@ -61,7 +63,7 @@ from repro.core.search.budget import SearchBudget
 from repro.core.search.result import OptimizationResult
 from repro.core.workflow import ETLWorkflow
 from repro.exceptions import ReproError
-from repro.io.json_io import workflow_from_dict, workflow_to_dict
+from repro.io.json_io import _build_workflow, workflow_to_dict
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -76,6 +78,7 @@ __all__ = [
     "resolve_model",
     "model_key",
     "result_to_dict",
+    "validate_request_workflow",
     "workflow_from_request",
 ]
 
@@ -201,14 +204,30 @@ def model_key(name: str | None) -> str:
     return name if name is not None else "processed_rows"
 
 
-def workflow_from_request(data: Any) -> ETLWorkflow:
-    """The request's ``workflow`` document as a validated workflow."""
-    if not isinstance(data, dict):
-        raise ProtocolError("optimize request needs a workflow object")
+@contextmanager
+def _invalid_document() -> Iterator[None]:
     try:
-        return workflow_from_dict(data)
+        yield
     except (ReproError, KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid workflow document: {exc}") from None
+
+
+def workflow_from_request(data: Any) -> ETLWorkflow:
+    """The request's ``workflow`` document as a built workflow, not yet
+    validated: it is fingerprinted first, and only a memo miss needs
+    :func:`validate_request_workflow` (a hit matched the fingerprint of
+    a workflow that was valid)."""
+    if not isinstance(data, dict):
+        raise ProtocolError("optimize request needs a workflow object")
+    with _invalid_document():
+        return _build_workflow(data)
+
+
+def validate_request_workflow(workflow: ETLWorkflow) -> None:
+    """Validate a built request workflow and propagate its schemas."""
+    with _invalid_document():
+        workflow.validate()
+        workflow.propagate_schemas()
 
 
 def result_to_dict(result: OptimizationResult) -> dict[str, Any]:

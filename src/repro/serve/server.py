@@ -91,6 +91,7 @@ from repro.serve.protocol import (
     request_field,
     resolve_model,
     result_to_dict,
+    validate_request_workflow,
     workflow_from_request,
 )
 from repro.serve.queue import AdmissionError, Job, JobQueue, TenantPolicy
@@ -453,6 +454,23 @@ class OptimizerServer:
             resolve_model(model_name)  # validate eagerly, fail at the door
             tenant = request_field(message, "tenant", str, "default")
             stream = request_field(message, "stream", bool, False)
+            effective = self.queue.policy.clamp(
+                requested, self.config.max_jobs
+            )
+            fingerprint = workflow_fingerprint(workflow)
+            key = memo_key(
+                fingerprint, model_key(model_name), algorithm, effective
+            )
+            lookup_started = time.monotonic()
+            cached = self.memo.get(key)
+            self.recorder.histogram("serve.memo_lookup_seconds").observe(
+                time.monotonic() - lookup_started
+            )
+            if cached is None:
+                # A hit matched the fingerprint — nodes, parameters,
+                # schemas, cardinalities and ports — of a workflow that
+                # was valid, so only a miss validates.
+                validate_request_workflow(workflow)
         except ProtocolError as exc:
             conn.out.put_nowait(
                 {
@@ -467,17 +485,7 @@ class OptimizerServer:
             self._tenant_requests[tenant] = (
                 self._tenant_requests.get(tenant, 0) + 1
             )
-        effective = self.queue.policy.clamp(requested, self.config.max_jobs)
-        fingerprint = workflow_fingerprint(workflow)
-        key = memo_key(
-            fingerprint, model_key(model_name), algorithm, effective
-        )
         trace_id = new_trace_id()
-        lookup_started = time.monotonic()
-        cached = self.memo.get(key)
-        self.recorder.histogram("serve.memo_lookup_seconds").observe(
-            time.monotonic() - lookup_started
-        )
         if cached is not None:
             self.recorder.counter("serve.memo", outcome="hit").add()
             if stream:

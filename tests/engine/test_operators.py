@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.activity import Activity
+from repro.core.builder import WorkflowBuilder
+from repro.engine import CheckpointStore, ExecutionBudget, Executor
 from repro.engine.operators import (
     EngineContext,
     OperatorRegistry,
@@ -173,6 +175,31 @@ class TestAggregation:
         rows = [{"G": "b", "V": 1}, {"G": "a", "V": 1}]
         out = run(registry, ctx, self._gamma("sum"), rows)
         assert [r["G"] for r in out] == ["a", "b"]
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {},
+            {"budget": ExecutionBudget(batch_size=2)},
+            {"checkpoint": CheckpointStore()},
+        ],
+        ids=["default", "streaming", "checkpoint"],
+    )
+    def test_float_sum_folds_left_to_right(self, options):
+        """``(0.1 + 0.2) + 0.3`` is 0.6000000000000001 on every path and
+        every Python; ``sum()`` compensates floats from 3.12 (0.6)."""
+        b = WorkflowBuilder()
+        source = b.source("S", ["G", "V"], 3, id="S")
+        gamma = b.activity(
+            "aggregation",
+            {"group_by": ["G"], "measure": "V", "agg": "sum",
+             "output": "OUT"},
+            id="1",
+        )
+        b.target("T", ["G", "OUT"], b.chain(source, gamma), id="T")
+        data = {"S": [{"G": "a", "V": value} for value in (0.1, 0.2, 0.3)]}
+        result = Executor().run(b.build(), data, **options)
+        assert result.targets["T"] == [{"G": "a", "OUT": 0.6000000000000001}]
 
 
 class TestBinary:

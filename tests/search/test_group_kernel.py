@@ -20,6 +20,10 @@ Two layers:
   checked against the materialized successor: verdict, reason, cost
   (``==`` ``estimate()``) and signature, on both signature paths
   (splice and re-render).
+
+Across the kernels of one search, one pricing table: each pair's guard
+and each member step is evaluated at most once per search, and pool
+tasks, which price through tables of their own, agree with serial.
 """
 
 from __future__ import annotations
@@ -28,8 +32,10 @@ import pytest
 
 from repro import SearchBudget, heuristic_search
 from repro.core import flags
+from repro.core.activity import Activity
 from repro.core.builder import WorkflowBuilder
 from repro.core.cost import ProcessedRowsCostModel, estimate
+from repro.core.search import group_kernel
 from repro.core.search.group_kernel import GroupKernel
 from repro.core.search.heuristic import _explore_group
 from repro.core.search.state import SearchState
@@ -553,3 +559,83 @@ class TestOrderingsPricedOnce:
             heuristic_search(workflow.copy(), greedy=greedy)
         assert signed
         assert len(signed) == len(set(signed))
+
+
+def _pricing_calls(monkeypatch):
+    """Every semantic guard a kernel evaluates, as ``(first, second)``,
+    and every member step it prices, as ``(member, input attributes,
+    input cardinalities)``."""
+    guards, steps, inputs, checking = [], [], {}, []
+    check, guard = Swap.check, Swap._semantic_guard
+    derive, outputs = Activity.derive_output, group_kernel.activity_outputs
+
+    def checked(self, workflow):
+        # Swap.check ends in the guard: state-building steps call it.
+        checking.append(self)
+        try:
+            return check(self, workflow)
+        finally:
+            checking.pop()
+
+    def guarded(self):
+        if not checking:
+            guards.append((self.first, self.second))
+        return guard(self)
+
+    def derived(self, input_schemas):
+        inputs[self] = tuple(schema.attrs for schema in input_schemas)
+        return derive(self, input_schemas)
+
+    def priced(model, activity, input_cards):
+        # The kernel derives a member's output schema just before it
+        # prices the member.
+        steps.append((activity, inputs[activity], input_cards))
+        return outputs(model, activity, input_cards)
+
+    monkeypatch.setattr(Swap, "check", checked)
+    monkeypatch.setattr(Swap, "_semantic_guard", guarded)
+    monkeypatch.setattr(Activity, "derive_output", derived)
+    monkeypatch.setattr(group_kernel, "activity_outputs", priced)
+    return guards, steps
+
+
+class TestOnePricingTablePerSearch:
+    """The group kernels of one search share their pair guards and
+    member steps: Phase IV re-explores the same members under the same
+    input from several states, and each pair's guard and each step is
+    still evaluated at most once per search."""
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_small(self, seed, greedy, monkeypatch):
+        guards, steps = _pricing_calls(monkeypatch)
+        workflow = generate_workload("small", seed=seed).workflow
+        heuristic_search(workflow, greedy=greedy)
+        assert guards and steps
+        assert len(guards) == len(set(guards))
+        assert len(steps) == len(set(steps))
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    def test_pool_tasks_price_through_their_own_tables(self, greedy):
+        """At ``jobs=2`` each pool task prices its groups through a table
+        of its own, and the answer equals the serial one."""
+        for seed in range(3):
+            workflow = generate_workload("small", seed=seed).workflow
+            runs = [
+                heuristic_search(
+                    workflow.copy(),
+                    greedy=greedy,
+                    budget=SearchBudget(jobs=jobs),
+                )
+                for jobs in (1, 2)
+            ]
+            serial, parallel = (
+                (
+                    run.best.signature,
+                    run.best.cost,
+                    run.visited_states,
+                    [step.to_dict() for step in run.lineage],
+                )
+                for run in runs
+            )
+            assert parallel == serial, seed

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro import SearchBudget, optimize
+from repro.core.workflow import ETLWorkflow
 from repro.io.json_io import workflow_to_dict
 from repro.serve import (
     BackgroundServer,
@@ -161,6 +162,57 @@ class TestMemoLatency:
         assert reply["cache_hits"] >= 0
         assert len(reply["fingerprint"]) == 24
         assert reply["budget"]["max_states"] == BUDGET["max_states"]
+
+
+def _invalid_fig1(defect):
+    """A fig1 document that builds but fails validation."""
+    document = workflow_to_dict(fig1_workflow().workflow)
+    if defect == "union-branches":
+        (source,) = [n for n in document["nodes"] if n["id"] == "1"]
+        source["schema"].append("EXTRA")
+    else:  # cycle: 6 feeds 5 instead of 4
+        (edge,) = [e for e in document["edges"] if e["consumer"] == "5"]
+        edge["provider"] = "6"
+    return document
+
+
+class TestMemoHitSkipsValidation:
+    """A fingerprint covers nodes, parameters, schemas, cardinalities and
+    ports, so a memo hit can only match a workflow that was valid: the
+    daemon validates a request's workflow only on a miss."""
+
+    def test_memo_hit_does_not_validate(self, server, monkeypatch):
+        wf = _workflow(seed=5)
+        validated = []
+        validate = ETLWorkflow.validate
+
+        def counting(self):
+            validated.append(self)
+            return validate(self)
+
+        with server.client() as client:
+            cold = client.optimize(wf.copy(), "hs", budget=BUDGET)
+            monkeypatch.setattr(ETLWorkflow, "validate", counting)
+            warm = client.optimize(wf.copy(), "hs", budget=BUDGET)
+        assert cold["served_from"] == "search"
+        assert warm["served_from"] == "memo"
+        assert warm["result"] == cold["result"]
+        assert validated == []
+
+    @pytest.mark.parametrize("defect", ["union-branches", "cycle"])
+    def test_invalid_workflow_is_still_a_bad_request(self, server, defect):
+        request = {
+            "op": "optimize",
+            "workflow": _invalid_fig1(defect),
+            "algorithm": "hs",
+            "budget": BUDGET,
+        }
+        with server.client() as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.request(request)
+            assert excinfo.value.code == "bad-request"
+            assert "invalid workflow document" in str(excinfo.value)
+            assert client.ping()
 
 
 class TestStreaming:
