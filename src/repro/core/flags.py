@@ -4,8 +4,8 @@ Three environment variables gate the performance machinery:
 
 * ``REPRO_FULL_RECOST=1`` — force every transition onto the slow,
   obviously-correct twin (full copy + full structural validation + full
-  schema propagation + from-scratch costing), and explore HS local
-  groups by building a ``SearchState`` per swap
+  schema propagation + from-scratch costing), and explore and compose
+  HS local groups by building a ``SearchState`` per swap
   (:meth:`~repro.core.search.state.SearchState.try_successor`) instead
   of running the group kernel.  This is the baseline the differential
   suites and ``benchmarks/bench_parallel.py`` compare the fast paths
@@ -14,9 +14,11 @@ Three environment variables gate the performance machinery:
   assert they agree: same accept/reject verdict, same derived schemata,
   and a valid patched topological order; every HS group exploration
   runs the group kernel and its state-building twin (unrecorded) and
-  asserts the same ``(path, explored)`` outcome.  Combined with the
-  exact ``estimate_incremental == estimate`` guarantee this is the debug
-  oracle the optimization is pinned with; it is also wired into the
+  asserts the same ``(path, explored)`` outcome, and every composed
+  group path is applied swap by swap too and must give the same state.
+  Combined with the exact ``estimate_incremental == estimate``
+  guarantee this is the debug oracle the optimization is pinned with;
+  it is also wired into the
   fuzz oracles (``repro fuzz`` cost-consistency check).
 * ``REPRO_NO_COLUMNAR=1`` — disable the engine's fused columnar
   kernels: :class:`~repro.engine.columnar.FusedChainRunner`, the one

@@ -41,6 +41,12 @@ per-position output schema, cardinality and cost, and prices
   fan-out tail, then the semantic guard — run first, because their
   verdicts depend on the pair and not on the ordering; rejections are
   not kept.
+* **path walk** — :meth:`GroupKernel.walk` prices a group's winning
+  path step by step.  Composition builds a kernel on the composed state
+  (each earlier group's winner applied) and walks the path there, so
+  every intermediate gets the exact cost and signature of the state the
+  step makes, and only the final ordering is built as a state (see
+  :func:`repro.core.search.heuristic._optimize_all_groups`).
 
 A :class:`Swap` is built only where one is read: the fan-out check, a
 guard miss, a rejection reason and a decision event.  Each considered
@@ -221,6 +227,29 @@ class GroupKernel:
                     reason=priced if rejected else None,
                 )
             yield (first.id, second.id), None if rejected else priced
+
+    def walk(self, path: list[tuple[str, str]]) -> list[Ordering]:
+        """The ordering each swap of ``path`` reaches from the root, up to
+        the first swap the kernel cannot price: not a pair of member ids,
+        not adjacent in the ordering at hand, or rejected.  Counts and
+        records nothing."""
+        by_id = {member.id: member for member in self.root.members}
+        ordering = self.root
+        walked: list[Ordering] = []
+        for pair in path:
+            members = ordering.members
+            try:
+                first, second = map(by_id.get, pair)
+                index = members.index(first)
+            except (TypeError, ValueError):  # not two ids, or no member
+                break
+            if index + 1 == len(members) or members[index + 1] is not second:
+                break
+            ordering = self._price(ordering, index, first, second)
+            if isinstance(ordering, str):
+                break
+            walked.append(ordering)
+        return walked
 
     def record_counts(self) -> None:
         """Add the swaps counted so far to ``search.transitions``."""

@@ -36,10 +36,13 @@ cardinality and the rest of the graph are invariant under in-group
 swaps), and the per-group winners are composed in group order.  That
 invariance also lets the exploration step through the group kernel
 (:mod:`repro.core.search.group_kernel`), which prices each swap from the
-parent ordering instead of building a state; only the winning path is
-materialized.  ``REPRO_FULL_RECOST`` steps through
-:meth:`SearchState.try_successor` instead (the slow twin) and
-``REPRO_COST_ORACLE`` runs both and asserts they agree.  Because every
+parent ordering instead of building a state.  Composition walks each
+winning path through a kernel built on the composed state, which prices
+every intermediate exactly, and builds a state only for each group's
+final ordering.  ``REPRO_FULL_RECOST`` steps through
+:meth:`SearchState.try_successor` instead and composes by building a
+state per swap (the slow twins); ``REPRO_COST_ORACLE`` runs both ways,
+exploration and composition, and asserts they agree.  Because every
 group task is a pure function of (base workflow, member ids), the tasks
 can run on a process pool (``SearchBudget.jobs``; workers rebuild the
 base state by replaying its lineage on the fast path) or be replayed
@@ -55,17 +58,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
 from repro.core import flags
 from repro.core.activity import Activity, CompositeActivity, base_clone_id
-from repro.core.cost.estimator import estimate
+from repro.core.cost.estimator import estimate, estimate_incremental
 from repro.core.cost.model import CostModel, ProcessedRowsCostModel
 from repro.core.search.budget import SearchBudget
-from repro.core.search.group_kernel import GroupKernel, PricingTable
+from repro.core.search.group_kernel import GroupKernel, Ordering, PricingTable
 from repro.core.search.result import OptimizationResult
-from repro.core.search.state import SearchState
+from repro.core.search.state import LineageStep, SearchState
 from repro.core.search.transposition import (
     CacheNamespace,
     TranspositionCache,
@@ -78,7 +82,7 @@ from repro.obs import (
     record_transition,
     use_recorder,
 )
-from repro.obs.provenance import build_transition
+from repro.obs.provenance import build_transition, transition_targets
 from repro.core.signature import state_signature, workflow_fingerprint
 from repro.core.transitions.factorize import Distribute, Factorize
 from repro.core.transitions.merge import Merge, Split
@@ -123,6 +127,11 @@ class _Session:
     Budget checks live only here — in the main process — so a wall-clock
     or state budget trips at the same replay position regardless of how
     many workers computed the group outcomes.
+
+    The running SMIN is lazy: ``best_cost``, and either the best state or,
+    while a composed path's intermediate holds it, the composed state and
+    path prefix that reach it; :meth:`best_state` builds that state once,
+    when the search returns.
     """
 
     def __init__(
@@ -133,6 +142,7 @@ class _Session:
         ns: CacheNamespace | None = None,
         pool=None,
         algorithm: str = "HS",
+        initial: SearchState | None = None,
     ):
         self.model = model
         self.config = config
@@ -146,10 +156,17 @@ class _Session:
         self.preload_token: str | None = None
         self.seen: set[str] = set()
         self.started = time.perf_counter()
-        self.best: SearchState | None = None
+        self.best_cost: float | None = None
+        #: The best state, or ``(composed state, path prefix)``.
+        self._best: SearchState | tuple | None = None
         #: The pair guards and member steps every in-process group
         #: kernel of this search shares.
         self.table = PricingTable()
+        if initial is not None:
+            # Registered directly: the budget clock must not trip before
+            # the search proper starts.
+            self.seen.add(initial.signature)
+            self.best_cost, self._best = initial.cost, initial
 
     def check_budget(self) -> None:
         if self.budget.max_seconds is not None:
@@ -167,24 +184,59 @@ class _Session:
         self.seen.add(state.signature)
         if self.ns is not None:
             self.ns.put_cost(state.signature, state.cost)
-        if self.best is None or state.cost < self.best.cost:
-            self.best = state
+        if self.best_cost is None or state.cost < self.best_cost:
+            self.best_cost, self._best = state.cost, state
         return True
 
-    def record_stream(self, signature: str, cost: float) -> bool:
-        """Register a state from a hermetic exploration stream.
+    def record_stream(
+        self,
+        states: list[tuple[str, float]],
+        composed: tuple[SearchState, list, SearchState] | None = None,
+    ) -> None:
+        """Register states that carry no workflow, as ``(signature,
+        cost)`` in order: each passes the budget check first, as in
+        :meth:`record`, and the new ones' costs reach the cache in one put.
 
-        Stream states carry no workflow (they are dominated by the
-        composed group-best state, so they never need materializing) but
-        count toward ``visited`` exactly like the old in-line exploration.
+        An exploration stream never lowers the best: its states are
+        dominated by the composed group-best state.  A composed path's
+        intermediates do: ``composed`` is ``(base, path, final)``, state
+        ``i`` is the one ``path[: i + 1]`` reaches from ``base``, the last
+        is ``final``, and a state that lowers the best cost becomes the
+        best, pending unless it is ``final``.
         """
-        self.check_budget()
-        if signature in self.seen:
-            return False
-        self.seen.add(signature)
-        if self.ns is not None:
-            self.ns.put_cost(signature, cost)
-        return True
+        seen = self.seen
+        # check_budget() can raise only on a timed budget or at the limit.
+        timed = self.budget.max_seconds is not None
+        limit = self.budget.max_states or math.inf
+        new: list[tuple[str, float]] = []
+        try:
+            for index, (signature, cost) in enumerate(states):
+                if timed or len(seen) >= limit:
+                    self.check_budget()
+                if signature in seen:
+                    continue
+                seen.add(signature)
+                new.append((signature, cost))
+                if composed is not None and (
+                    self.best_cost is None or cost < self.best_cost
+                ):
+                    base, path, final = composed
+                    self.best_cost = cost
+                    self._best = (
+                        final
+                        if index + 1 == len(path)
+                        else (base, path[: index + 1])
+                    )
+        finally:
+            if new and self.ns is not None:
+                self.ns.put_costs(new)
+
+    def best_state(self) -> SearchState | None:
+        """The best state, built on first call when it is pending."""
+        if isinstance(self._best, tuple):
+            base, prefix = self._best
+            self._best = _materialize_path(base, prefix, self.model)
+        return self._best
 
     @property
     def elapsed(self) -> float:
@@ -251,6 +303,7 @@ def heuristic_search(
             ns=cache.namespace(initial.workflow, model),
             pool=pool,
             algorithm=algorithm,
+            initial=initial,
         )
         if pool is not None:
             # Fork-server preload: install (S0, model) in the parent
@@ -264,11 +317,6 @@ def heuristic_search(
             pool.preload(
                 session.preload_token, (reported_initial.workflow, model)
             )
-        # Register S0 directly: the budget clock must not trip before the
-        # search proper starts.
-        session.seen.add(initial.signature)
-        session.best = initial
-
         homologous_pairs = _find_homologous(initial.workflow)
         distributable = _find_distributable(initial.workflow)
 
@@ -308,7 +356,7 @@ def heuristic_search(
         except SearchBudgetExceeded:
             completed = False
 
-        best = session.best if session.best is not None else initial
+        best = session.best_state()
         # Post-processing (line 36): split every merged activity.
         best = _split_all(best, session)
 
@@ -456,9 +504,10 @@ def _find_homologous(
         if a.is_unary and not isinstance(a, CompositeActivity)
     ]
     unary.sort(key=lambda a: a.id)
+    keys = {activity: activity.semantics_key() for activity in unary}
     found: list[tuple[Activity, Activity, Activity]] = []
     for first, second in itertools.combinations(unary, 2):
-        if first.semantics_key() != second.semantics_key():
+        if keys[first] != keys[second]:
             continue
         binary_first = _next_binary_downstream(workflow, first)
         binary_second = _next_binary_downstream(workflow, second)
@@ -567,8 +616,9 @@ def _shift_state(
 # pricing-table hit returns what its miss computed, so sharing the
 # search's table in-process and building one per pool task agree too.  The
 # main process then composes the outcomes in group order —
-# replaying each stream into the visited set and applying each best path —
-# so serial, parallel and warm-cache runs agree byte-for-byte.
+# replaying each stream into the visited set and walking each best path
+# on the composed state — so serial, parallel and warm-cache runs agree
+# byte-for-byte.
 
 
 def _group_memo_key(
@@ -955,22 +1005,145 @@ def _optimize_all_groups(
                     )
 
     # Compose in group order: replay each stream into the visited set,
-    # then apply the group's best path.  Identical for any jobs value.
+    # then walk the group's best path through a kernel on the composed
+    # state and build its final ordering.  Identical for any jobs value.
+    per_swap = flags.full_recost_enabled()
     current = state
-    for outcome in outcomes:
-        path, explored = outcome
-        for signature, cost in explored:
-            session.record_stream(signature, cost)
-        for first_id, second_id in path:
-            swap = Swap(
-                current.workflow.node_by_id(first_id),
-                current.workflow.node_by_id(second_id),
+    for member_ids, (path, explored) in zip(groups, outcomes):
+        session.record_stream(explored)
+        if not path:
+            continue
+        if not per_swap:
+            members = [current.workflow.node_by_id(i) for i in member_ids]
+            walked = GroupKernel(
+                current, members, session.model, session.algorithm,
+                session.table,
+            ).walk(path)
+            # A path the walk cannot finish is outside input (a cache
+            # entry): the per-swap loop raises its error or applies its
+            # swaps outside the group, and composes every later group.
+            per_swap = len(walked) < len(path)
+        if per_swap:
+            current = _materialize_path(
+                current, path, session.model, session.record
             )
-            current = current.successor(
-                swap, swap.apply_fast(current.workflow), session.model
-            )
-            session.record(current)
+            continue
+        final = _composed_state(current, path, walked, session.model)
+        if flags.cost_oracle_enabled():
+            _check_composition(current, path, final, session.model)
+        session.record_stream(
+            [(ordering.signature, ordering.cost) for ordering in walked],
+            (current, path, final),
+        )
+        current = final
     return current
+
+
+def _materialize_path(
+    state: SearchState,
+    path: list[tuple[str, str]],
+    model: CostModel,
+    record=None,
+) -> SearchState:
+    """The per-swap loop: build the state each swap of ``path`` makes
+    from ``state``, passing each to ``record`` when given.
+
+    It composes groups under ``REPRO_FULL_RECOST`` (the slow twin) and
+    builds a pending best (see :meth:`_Session.best_state`).
+    """
+    current = state
+    for first_id, second_id in path:
+        swap = Swap(
+            current.workflow.node_by_id(first_id),
+            current.workflow.node_by_id(second_id),
+        )
+        current = current.successor(
+            swap, swap.apply_fast(current.workflow), model
+        )
+        if record is not None:
+            record(current)
+    return current
+
+
+def _composed_state(
+    base: SearchState,
+    path: list[tuple[str, str]],
+    walked: list[Ordering],
+    model: CostModel,
+) -> SearchState:
+    """The state ``path`` reaches from ``base``, built once from the
+    path's orderings (:meth:`GroupKernel.walk` on ``base``).
+
+    One copy takes the per-swap loop's edge operations in path order;
+    the members refill their slots of the parent's topological order
+    (chain order follows slot order, as after each swap's patched
+    order); validation, schemas and cost are re-derived once over the
+    members, and the signature is the final ordering's.
+    """
+    workflow = base.workflow.copy()
+    swaps = [Swap(*map(workflow.node_by_id, pair)) for pair in path]
+    for swap in swaps:
+        swap.rewire(workflow)
+    members = walked[-1].members
+    moved = set(members)
+    order = list(base.workflow.topological_order())
+    slots = [slot for slot, node in enumerate(order) if node in moved]
+    for slot, member in zip(slots, members):
+        order[slot] = member
+    workflow.adopt_topology(order)
+    workflow.validate_incremental(base.workflow, members)
+    workflow.propagate_schemas_incremental(base.workflow, members)
+    report = estimate_incremental(workflow, model, base.report, members)
+    recorder = get_recorder()
+    if recorder.active:
+        recorder.counter("search.delta_recost_nodes").add(
+            report.recosted_nodes
+        )
+    steps = tuple(
+        LineageStep(
+            mnemonic=swap.mnemonic,
+            transition=swap.describe(),
+            cost_after=ordering.cost,
+            targets=transition_targets(swap),
+        )
+        for swap, ordering in zip(swaps, walked)
+    )
+    return SearchState(
+        workflow=workflow,
+        signature=walked[-1].signature,
+        report=report,
+        produced_by=swaps[-1],
+        depth=base.depth + len(swaps),
+        lineage=base.lineage + steps,
+    )
+
+
+def _check_composition(
+    base: SearchState,
+    path: list[tuple[str, str]],
+    composed: SearchState,
+    model: CostModel,
+) -> None:
+    """The cost oracle: the per-swap loop must build the same state."""
+    with use_recorder(NULL_RECORDER):
+        expected = _materialize_path(base, path, model)
+    shapes = [
+        (
+            state.signature,
+            state.report,
+            state.lineage,
+            list(state.workflow.edges()),
+            state.workflow.pred,
+            state.workflow.topological_order(),
+            state.workflow.propagate_schemas(),
+        )
+        for state in (composed, expected)
+    ]
+    if shapes[0] != shapes[1]:
+        raise AssertionError(
+            f"cost oracle: composing the group path {path} through the "
+            "group kernel diverges from the per-swap loop"
+        )
 
 
 def _group_swaps(workflow: ETLWorkflow, members: set[Activity]) -> list[Swap]:

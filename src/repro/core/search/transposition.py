@@ -259,6 +259,16 @@ class CacheNamespace:
                 self.costs[signature] = {"t": total, "n": recosted}
                 self.dirty = True
 
+    def put_costs(self, entries: list[tuple[str, float]]) -> None:
+        """:meth:`put_cost` for each ``(signature, total)``, in order,
+        under one lock acquisition."""
+        with self._cache._lock:
+            costs = self.costs  # a flush replaces the dict under the lock
+            for signature, total in entries:
+                if signature not in costs:
+                    costs[signature] = {"t": total, "n": 0}
+                    self.dirty = True
+
     # -- group-exploration memo --------------------------------------------------
 
     def get_group(self, key: str) -> dict[str, Any] | None:

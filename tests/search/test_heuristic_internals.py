@@ -11,10 +11,41 @@ from repro.core.search.heuristic import (
     _nearest_binary_upstream,
     _root_id,
 )
+from repro.core.activity import Activity, CompositeActivity
 from repro.core.search.state import SearchState
 from repro.core.cost import ProcessedRowsCostModel
 from repro.core.transitions import Distribute
-from repro.workloads import fig1_workflow, fig4_states, two_branch_scenario
+from repro.workloads import (
+    fig1_workflow,
+    fig4_states,
+    generate_workload,
+    two_branch_scenario,
+)
+
+
+def _per_pair_homologous(wf):
+    """Homologous discovery comparing semantics keys pair by pair."""
+    unary = sorted(
+        (
+            a
+            for a in wf.activities()
+            if a.is_unary and not isinstance(a, CompositeActivity)
+        ),
+        key=lambda a: a.id,
+    )
+    found = []
+    for index, first in enumerate(unary):
+        for second in unary[index + 1 :]:
+            if first.semantics_key() != second.semantics_key():
+                continue
+            binary = _next_binary_downstream(wf, first)
+            if binary is None or binary is not _next_binary_downstream(
+                wf, second
+            ):
+                continue
+            if binary.template.name in first.distributes_over:
+                found.append((first, second, binary))
+    return found
 
 
 class TestRootId:
@@ -68,6 +99,34 @@ class TestDiscovery:
         found = _find_homologous(wf)
         pairs = {(f.id, s.id) for f, s, _ in found}
         assert ("3", "4") in pairs
+
+    def test_one_semantics_key_per_activity(self, monkeypatch):
+        wf = generate_workload("small", seed=1).workflow
+        built = []
+        key = Activity.semantics_key
+
+        def counted(self):
+            built.append(self)
+            return key(self)
+
+        monkeypatch.setattr(Activity, "semantics_key", counted)
+        found = _find_homologous(wf)
+        unary = [a for a in wf.activities() if a.is_unary]
+        assert found
+        assert len(built) <= len(unary)
+
+    @pytest.mark.parametrize(
+        "category,seed",
+        [("fig1", None)]
+        + [("tiny", seed) for seed in range(8)]
+        + [("small", seed) for seed in range(8)],
+    )
+    def test_homologous_pairs_match_the_per_pair_keys(self, category, seed):
+        if category == "fig1":
+            wf = fig1_workflow().workflow
+        else:
+            wf = generate_workload(category, seed=seed).workflow
+        assert _find_homologous(wf) == _per_pair_homologous(wf)
 
     def test_fig1_distributable(self, fig1):
         found = _find_distributable(fig1.workflow)

@@ -380,6 +380,51 @@ class TestThreadSafety:
         assert cache.misses >= 2 * per_thread
         assert cache.hits + cache.misses > 0
 
+    def test_batched_puts_survive_concurrent_flushes(
+        self, tmp_path, workflow
+    ):
+        """Three threads put cost batches while a fourth flushes, which
+        replaces the namespace's cost dict; at a short switch interval
+        no batch may land in a replaced dict."""
+        import sys
+        import threading
+
+        ns = TranspositionCache(tmp_path).namespace(
+            workflow, ProcessedRowsCostModel()
+        )
+        writers_done = threading.Event()
+        barrier = threading.Barrier(4)
+
+        def write(thread_id: int) -> None:
+            barrier.wait(timeout=10.0)
+            for batch in range(1000):
+                ns.put_costs(
+                    [(f"sig-{thread_id}-{batch}-{i}", 1.0) for i in range(5)]
+                )
+
+        def flush() -> None:
+            barrier.wait(timeout=10.0)
+            while not writers_done.is_set():
+                ns.flush()
+
+        writers = [
+            threading.Thread(target=write, args=(tid,)) for tid in range(3)
+        ]
+        flusher = threading.Thread(target=flush)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in (*writers, flusher):
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60.0)
+            writers_done.set()
+            flusher.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in (*writers, flusher))
+        assert len(ns.costs) == 3 * 1000 * 5
+
     def test_concurrent_namespace_creation_is_single(self, workflow):
         import threading
 

@@ -151,8 +151,12 @@ class TestMemoLatency:
         assert cold["served_from"] == "search"
         assert warm["served_from"] == "memo"
         assert warm["cache_hits"] > 0
-        assert warm_latency < cold_latency / 10, (
-            f"memo hit took {warm_latency:.4f}s vs cold {cold_latency:.4f}s"
+        # The daemon's own time from parse to reply: the client's wall
+        # clock adds thread wake-ups that can cost a memo hit 10+ ms.
+        assert warm["latency_seconds"] < cold["latency_seconds"] / 10, (
+            f"memo hit took {warm['latency_seconds']:.4f}s vs cold "
+            f"{cold['latency_seconds']:.4f}s in the daemon; client wall "
+            f"times {warm_latency:.4f}s vs {cold_latency:.4f}s"
         )
 
     def test_envelope_reports_latency_and_hits(self, server):
